@@ -22,45 +22,6 @@ module Engine = Server.Engine
 
 let ( let* ) = Result.bind
 
-type options = {
-  file : string option;
-  extra_specs : string list;
-  fair : bool;
-  fair_engine : Ctl.Fair.engine;
-  traces : bool;
-  stats : bool;
-  partitioned : bool;
-  cache_limit : int option;
-  simulate : int option;
-  seed : int;
-  timeout : float option;
-  node_limit : int option;
-  step_limit : int option;
-  jobs : int;
-  retries : int;
-  retry_factor : float;
-  certify : bool;
-  inject : string option;
-  debug : bool;
-  reorder : [ `None | `Once | `Auto ];
-  reorder_threshold : int;
-  serve : bool;
-  socket : string option;
-  cache_models : int;
-  max_pending : int option;
-  max_inflight : int option;
-  default_timeout : float option;
-  default_node_limit : int option;
-  max_timeout : float option;
-  mem_high_water : int option;
-  supervise : bool;
-  state_dir : string option;
-  status : bool;
-}
-
-(* A parsed --inject specification. *)
-type inject = Inject_site of Bdd.Fault.site * int | Inject_worker of int
-
 (* --------------------------------------------------------------- *)
 (* SIGINT (one-shot mode): set the shared cancel flag.  Every per-spec
    Limits bundle — sequential or on a worker domain — is created with
@@ -91,87 +52,6 @@ let install_sigint () =
   | exception (Invalid_argument _ | Sys_error _) ->
     (* no signal support on this platform: run ungoverned *)
     ()
-
-(* The engine's view of the flags: one-shot runs are cancelled through
-   the process-wide SIGINT flag. *)
-let engine_opts opts =
-  {
-    Engine.fair = opts.fair;
-    fair_engine = opts.fair_engine;
-    traces = opts.traces;
-    stats = opts.stats;
-    certify = opts.certify;
-    debug = opts.debug;
-    timeout = opts.timeout;
-    node_limit = opts.node_limit;
-    step_limit = opts.step_limit;
-    retries = opts.retries;
-    retry_factor = opts.retry_factor;
-    cancel = cancel_flag;
-  }
-
-let load opts file =
-  match
-    Smv.load_file ~partitioned:opts.partitioned
-      ~static_order:(opts.reorder <> `None)
-      file
-  with
-  | compiled -> Ok compiled
-  | exception Sys_error msg -> Error msg
-  | exception Smv.Lexer.Error (msg, pos) ->
-    Error (Format.asprintf "%s: lexical error at %a: %s" file Smv.Ast.pp_pos pos msg)
-  | exception Smv.Parser.Error (msg, pos) ->
-    Error (Format.asprintf "%s: syntax error at %a: %s" file Smv.Ast.pp_pos pos msg)
-  | exception (Smv.Compile.Error (msg, pos) | Smv.Flatten.Error (msg, pos))
-    ->
-    let where =
-      match pos with
-      | Some p -> Format.asprintf " at %a" Smv.Ast.pp_pos p
-      | None -> ""
-    in
-    Error (Printf.sprintf "%s: error%s: %s" file where msg)
-
-let compile_extra compiled text =
-  match Smv.Compile.compile_expr compiled text with
-  | f -> Ok (text, f)
-  | exception Smv.Lexer.Error (msg, _) | exception Smv.Parser.Error (msg, _)
-  ->
-    Error (Printf.sprintf "--spec %S: %s" text msg)
-  | exception Smv.Compile.Error (msg, _) ->
-    Error (Printf.sprintf "--spec %S: %s" text msg)
-
-let parse_inject ~seed = function
-  | None -> Ok None
-  | Some s -> (
-    match String.index_opt s ':' with
-    | None ->
-      Error "--inject: expected SITE:COUNT (e.g. mk:1000, step:3, worker:1)"
-    | Some i ->
-      let site = String.sub s 0 i in
-      let count = String.sub s (i + 1) (String.length s - i - 1) in
-      let* n =
-        if count = "rand" then
-          (* Seeded so chaos runs are reproducible: same --seed, same
-             injection point. *)
-          let rng = Random.State.make [| seed; 0x1aB2 |] in
-          Ok (1 + Random.State.int rng 4096)
-        else
-          match int_of_string_opt count with
-          | Some n when n >= 1 -> Ok n
-          | Some _ | None ->
-            Error "--inject: COUNT must be a positive integer or 'rand'"
-      in
-      match site with
-      | "worker" -> Ok (Some (Inject_worker n))
-      | _ -> (
-        match Bdd.Fault.site_of_string site with
-        | Some fs -> Ok (Some (Inject_site (fs, n)))
-        | None ->
-          Error
-            (Printf.sprintf
-               "--inject: unknown site %S (expected mk, probe, gc, step, \
-                reorder or worker)"
-               site)))
 
 let print_model_stats ?limits m =
   let reachable = Kripke.reachable ?limits m in
@@ -213,7 +93,7 @@ let print_run_stats ?(extra = []) ?(fair_engine = Ctl.Fair.El) m =
 (* Random walk from a random initial state, choosing uniformly at each
    step with symbolic cofactor-weighted sampling — no state
    enumeration, so arbitrarily large models are safe to explore. *)
-let simulate m ~steps ~seed =
+let print_simulation m ~steps ~seed =
   let rng = Random.State.make [| seed |] in
   let pick set = Kripke.pick_random_state m ~rng set in
   match pick m.Kripke.init with
@@ -230,75 +110,34 @@ let simulate m ~steps ~seed =
     Format.printf "-- random simulation (%d steps, seed %d)@." steps seed;
     Format.printf "%a@." (Kripke.Trace.pp m) tr
 
-let validate opts =
-  let* () =
-    match opts.cache_limit with
-    | Some n when n <= 0 -> Error "--cache-limit: N must be positive"
-    | Some _ | None -> Ok ()
-  in
-  let* () =
-    match opts.simulate with
-    | Some n when n <= 0 -> Error "--simulate: STEPS must be positive"
-    | Some _ | None -> Ok ()
-  in
-  let* () =
-    match opts.timeout with
-    | Some t when t <= 0.0 -> Error "--timeout: SECS must be positive"
-    | Some _ | None -> Ok ()
-  in
-  let* () =
-    match opts.node_limit with
-    | Some n when n <= 0 -> Error "--node-limit: N must be positive"
-    | Some _ | None -> Ok ()
-  in
-  let* () =
-    match opts.step_limit with
-    | Some n when n <= 0 -> Error "--step-limit: N must be positive"
-    | Some _ | None -> Ok ()
-  in
-  let* () =
-    if opts.retries < 0 then Error "--retries: N must be >= 0" else Ok ()
-  in
-  let* () =
-    if opts.reorder_threshold <= 0 then
-      Error "--reorder-threshold: N must be positive"
-    else Ok ()
-  in
-  let* () =
-    if opts.retry_factor < 1.0 then
-      Error "--retry-budget-factor: F must be >= 1.0"
-    else Ok ()
-  in
-  let* () =
-    if opts.cache_models < 1 then
-      Error "--cache-models: N must be positive"
-    else Ok ()
-  in
-  let* inj = parse_inject ~seed:opts.seed opts.inject in
-  let* () =
-    match inj with
-    | Some (Inject_worker _) when opts.jobs < 2 ->
-      Error "--inject worker:N requires a parallel run (--jobs >= 2)"
-    | Some _ | None -> Ok ()
-  in
-  if opts.jobs < 0 then Error "--jobs: N must be >= 0 (0 means all cores)"
-  else Ok ()
+let positive flag what = function
+  | Some n when n <= 0 ->
+    Error (Printf.sprintf "%s: %s must be positive" flag what)
+  | Some _ | None -> Ok ()
 
-(* Returns Ok (exit code) or Error message (input error, exit 3). *)
-let run opts file =
-  let* () = validate opts in
-  let* inject = parse_inject ~seed:opts.seed opts.inject in
-  let* compiled = load opts file in
-  let eopts = engine_opts opts in
+(* A one-shot run.  [opts], [jobs] and [crash_worker] arrive
+   validated; returns Ok (exit code) or Error message (input error,
+   exit 3). *)
+let run (opts : Engine.opts) ~jobs ~debug ~crash_worker ~extra_specs
+    ~cache_limit ~simulate ~seed file =
+  let* () = positive "--cache-limit" "N" cache_limit in
+  let* () = positive "--simulate" "STEPS" simulate in
+  let* compiled =
+    match
+      Engine.compile_model ~what:file (fun () ->
+          Smv.load_file ~partitioned:opts.partitioned
+            ~static_order:(opts.reorder <> `None)
+            file)
+    with
+    | result -> result
+    | exception Sys_error msg -> Error msg
+  in
   let m = compiled.Smv.Compile.model in
   let main_clusters = compiled.Smv.Compile.clusters in
   (* The clusters must survive any ladder-triggered gc between the
      breach and the degraded rung that consumes them. *)
   let (_ : Bdd.root) =
     Bdd.add_root m.Kripke.man (fun () -> main_clusters)
-  in
-  let site_inject =
-    match inject with Some (Inject_site (s, n)) -> Some (s, n) | _ -> None
   in
   (* Dynamic reordering: `once sifts the freshly built model now (on
      top of the static proximity order both non-none modes seed at
@@ -316,25 +155,15 @@ let run opts file =
       Format.eprintf "warning: initial reordering failed; continuing@.")
   | `Auto ->
     Bdd.Reorder.set_auto m.Kripke.man (Some opts.reorder_threshold));
-  (match opts.cache_limit with
+  (match cache_limit with
   | Some _ as limit -> Bdd.set_cache_limit m.Kripke.man limit
   | None -> ());
   if opts.stats then print_model_stats m;
-  (match opts.simulate with
-  | Some steps -> simulate m ~steps ~seed:opts.seed
+  (match simulate with
+  | Some steps -> print_simulation m ~steps ~seed
   | None -> ());
-  let* extra =
-    List.fold_left
-      (fun acc text ->
-        let* acc = acc in
-        let* spec = compile_extra compiled text in
-        Ok (spec :: acc))
-      (Ok []) opts.extra_specs
-  in
-  let specs = compiled.Smv.Compile.specs @ List.rev extra in
-  let jobs =
-    if opts.jobs = 0 then Parallel.default_jobs () else opts.jobs
-  in
+  let* extra = Engine.compile_specs ~what:"--spec" compiled extra_specs in
+  let specs = compiled.Smv.Compile.specs @ extra in
   let reports, worker_stats =
     if specs = [] then begin
       Format.printf "no specifications to check@.";
@@ -364,7 +193,7 @@ let run opts file =
           List.map (Bdd.transfer ~src:m.Kripke.man ~dst:wm.Kripke.man) main_clusters
         in
         let r =
-          Engine.check_one ppf wm ~opts:eopts ~clusters ?inject:site_inject
+          Engine.check_one ppf wm ~opts ~cancel:cancel_flag ~debug ~clusters
             (names.(i), spec)
         in
         Format.pp_print_flush ppf ();
@@ -401,16 +230,18 @@ let run opts file =
           let buf = Buffer.create 512 in
           let ppf = Format.formatter_of_buffer buf in
           let r =
-            Engine.check_one ppf m ~opts:eopts
+            Engine.check_one ppf m
+              ~opts:{ opts with inject = None }
+              ~cancel:cancel_flag ~debug
               ~clusters:(fun () -> main_clusters)
-              ?inject:None ~prior
+              ~prior
               (names.(i), formulas.(i))
           in
           Format.pp_print_flush ppf ();
           Hashtbl.replace overrides i r;
           Format.print_flush ();
           print_string (Buffer.contents buf)
-        | Error e when not opts.debug ->
+        | Error e when not debug ->
           Format.printf
             "-- specification %s is UNDETERMINED (worker failed: %s)@."
             names.(i) (Printexc.to_string e)
@@ -418,9 +249,7 @@ let run opts file =
       in
       let results, worker_stats =
         Parallel.Specs.map ~jobs ~cancel:cancel_flag
-          ?chaos_crash:
-            (match inject with Some (Inject_worker n) -> Some n | _ -> None)
-          ~on_result ~f m formulas
+          ?chaos_crash:crash_worker ~on_result ~f m formulas
       in
       let reports =
         Array.to_list
@@ -452,9 +281,10 @@ let run opts file =
             if !interrupted then None
             else
               Some
-                (Engine.check_one Format.std_formatter m ~opts:eopts
+                (Engine.check_one Format.std_formatter m ~opts
+                   ~cancel:cancel_flag ~debug
                    ~clusters:(fun () -> main_clusters)
-                   ?inject:site_inject spec))
+                   spec))
           specs,
         [] )
   in
@@ -496,7 +326,7 @@ let fair_engine_arg =
   Arg.(
     value
     & opt (enum [ ("el", Ctl.Fair.El); ("lockstep", Ctl.Fair.Lockstep) ])
-        Ctl.Fair.El
+        Engine.default_opts.fair_engine
     & info [ "fair-engine" ] ~docv:"ENGINE"
         ~doc:
           "Fair-cycle detection algorithm.  $(b,el) (default) is the \
@@ -558,7 +388,7 @@ let seed_arg =
 let timeout_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some float) Engine.default_opts.timeout
     & info [ "timeout" ] ~docv:"SECS"
         ~doc:
           "Wall-clock budget per specification; a spec that exceeds it \
@@ -568,7 +398,7 @@ let timeout_arg =
 let node_limit_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some int) Engine.default_opts.node_limit
     & info [ "node-limit" ] ~docv:"N"
         ~doc:
           "Live BDD-node budget per specification; exceeded budgets \
@@ -577,7 +407,7 @@ let node_limit_arg =
 let step_limit_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some int) Engine.default_opts.step_limit
     & info [ "step-limit" ] ~docv:"N"
         ~doc:
           "Fixpoint-iteration / ring-descent step budget per \
@@ -596,7 +426,8 @@ let jobs_arg =
 
 let retries_arg =
   Arg.(
-    value & opt int 0
+    value
+    & opt int Engine.default_opts.retries
     & info [ "retries" ] ~docv:"N"
         ~doc:
           "Re-attempt a breached, out-of-memory or crashed \
@@ -610,7 +441,8 @@ let retries_arg =
 
 let retry_factor_arg =
   Arg.(
-    value & opt float 2.0
+    value
+    & opt float Engine.default_opts.retry_factor
     & info [ "retry-budget-factor" ] ~docv:"F"
         ~doc:
           "Exponential budget backoff for retries: attempt k runs \
@@ -645,7 +477,7 @@ let inject_arg =
 let reorder_arg =
   Arg.(
     value
-    & opt (enum [ ("none", `None); ("once", `Once); ("auto", `Auto) ]) `None
+    & opt (enum Engine.reorder_modes) Engine.default_opts.reorder
     & info [ "reorder" ] ~docv:"MODE"
         ~doc:
           "BDD variable-order optimisation.  $(b,none) (default) keeps \
@@ -659,7 +491,8 @@ let reorder_arg =
 
 let reorder_threshold_arg =
   Arg.(
-    value & opt int 4096
+    value
+    & opt int Engine.default_opts.reorder_threshold
     & info [ "reorder-threshold" ] ~docv:"N"
         ~doc:
           "Live-node trigger for --reorder auto: a sifting sweep is \
@@ -810,81 +643,190 @@ let status_arg =
            depth, shed and watchdog counters, per-model cache \
            occupancy, worker state) and exit.")
 
-let main file extra_specs no_fair fair_engine no_trace stats partitioned
-    cache_limit simulate seed timeout node_limit step_limit jobs retries
-    retry_factor certify inject reorder reorder_threshold debug serve socket
-    cache_models max_pending max_inflight default_timeout default_node_limit
-    max_timeout mem_high_water supervise state_dir status =
+open Term.Syntax
+
+(* --inject, parsed once: the check-scoped sites become
+   [Engine.opts.inject], [worker] is a one-shot --jobs fault and
+   [child-crash] a --serve one. *)
+let inject_term =
+  let+ inject = inject_arg and+ seed = seed_arg in
+  match inject with
+  | None -> Ok None
+  | Some s ->
+    Engine.parse_inject ~seed s
+    |> Result.map Option.some
+    |> Result.map_error (( ^ ) "--inject: ")
+
+let jobs_term =
+  let+ jobs = jobs_arg in
+  if jobs < 0 then Error "--jobs: N must be >= 0 (0 means all cores)"
+  else Ok (if jobs = 0 then Parallel.default_jobs () else jobs)
+
+(* The per-check flags but --inject, decoded into the engine's option
+   record and validated by the same check as a server request's
+   options.  --inject is decoded once by [inject_term], which also
+   reads the one-shot --seed; [main] sets the [inject] field. *)
+let opts_term =
+  let+ no_fair = no_fair_arg
+  and+ fair_engine = fair_engine_arg
+  and+ no_trace = no_trace_arg
+  and+ stats = stats_arg
+  and+ certify = certify_arg
+  and+ partitioned = partitioned_arg
+  and+ timeout = timeout_arg
+  and+ node_limit = node_limit_arg
+  and+ step_limit = step_limit_arg
+  and+ retries = retries_arg
+  and+ retry_factor = retry_factor_arg
+  and+ reorder = reorder_arg
+  and+ reorder_threshold = reorder_threshold_arg in
   let opts =
     {
-      file; extra_specs; fair = not no_fair; fair_engine;
-      traces = not no_trace; stats;
-      partitioned; cache_limit; simulate; seed; timeout; node_limit;
-      step_limit; jobs; retries; retry_factor; certify; inject; debug;
-      reorder; reorder_threshold; serve; socket; cache_models; max_pending;
-      max_inflight; default_timeout; default_node_limit; max_timeout;
-      mem_high_water; supervise; state_dir; status;
+      Engine.fair = not no_fair;
+      fair_engine;
+      traces = not no_trace;
+      stats;
+      certify;
+      partitioned;
+      timeout;
+      node_limit;
+      step_limit;
+      retries;
+      retry_factor;
+      inject = None;
+      reorder;
+      reorder_threshold;
     }
+  in
+  let* () = Engine.validate_opts opts in
+  Ok opts
+
+let daemon_term =
+  let+ socket = socket_arg
+  and+ jobs = jobs_term
+  and+ capacity = cache_models_arg
+  and+ debug = debug_arg
+  and+ max_pending = max_pending_arg
+  and+ max_inflight = max_inflight_arg
+  and+ default_timeout = default_timeout_arg
+  and+ default_node_limit = default_node_limit_arg
+  and+ max_timeout = max_timeout_arg
+  and+ mem_high_water = mem_high_water_arg
+  and+ state_dir = state_dir_arg
+  and+ inject = inject_term in
+  let* jobs = jobs in
+  let* inject = inject in
+  Ok
+    {
+      Server.Daemon.socket;
+      jobs;
+      capacity;
+      debug;
+      max_pending;
+      max_inflight;
+      default_timeout;
+      default_node_limit;
+      max_timeout;
+      mem_high_water;
+      state_dir;
+      crash_after =
+        (match inject with Some (Engine.Child_crash n) -> Some n | _ -> None);
+      restarts = 0;
+    }
+
+(* The flags only a one-shot run reads. *)
+let one_shot_term =
+  let+ extra_specs = spec_arg
+  and+ cache_limit = cache_limit_arg
+  and+ simulate = simulate_arg
+  and+ seed = seed_arg in
+  (extra_specs, cache_limit, simulate, seed)
+
+let main =
+  let+ opts, per_check_flags = Term.with_used_args opts_term
+  and+ dcfg = daemon_term
+  and+ jobs = jobs_term
+  and+ inject = inject_term
+  and+ _, inject_flags = Term.with_used_args inject_arg
+  and+ debug = debug_arg
+  and+ socket = socket_arg
+  and+ file = file_arg
+  and+ (extra_specs, cache_limit, simulate, seed), one_shot_flags =
+    Term.with_used_args one_shot_term
+  and+ serve = serve_arg
+  and+ supervise = supervise_arg
+  and+ status = status_arg in
+  let input_error msg =
+    Format.eprintf "%s@." msg;
+    3
   in
   Printexc.record_backtrace debug;
   if status then begin
     match socket with
     | Some path -> Server.Daemon.status_client ~socket:path
-    | None ->
-      Format.eprintf "smv_check --status: --socket PATH is required@.";
-      3
+    | None -> input_error "smv_check --status: --socket PATH is required"
   end
   else if serve then begin
     if file <> None then
       Format.eprintf "warning: MODEL.smv argument is ignored with --serve@.";
-    if cache_models < 1 then begin
-      Format.eprintf "--cache-models: N must be positive@.";
-      3
-    end
-    else begin
-      (* In serve mode the only CLI-level injection site is the
-         supervision fault [child-crash:K]; per-request sites travel
-         in the request options instead. *)
-      let crash_after =
-        match inject with
-        | Some s when String.length s > 12 && String.sub s 0 12 = "child-crash:"
-          ->
-          int_of_string_opt (String.sub s 12 (String.length s - 12))
-        | Some _ | None -> None
+    (* Server flags only: per-check options travel in each request, and
+       a flag the server would not apply is refused, not dropped. *)
+    let checked =
+      let* dcfg = dcfg in
+      let* opts = opts in
+      let* inject = inject in
+      let per_check =
+        (if opts <> Engine.default_opts then per_check_flags else [])
+        @ (match inject with Some (Engine.Fault _) -> inject_flags | _ -> [])
       in
-      let dcfg =
-        {
-          Server.Daemon.socket;
-          jobs = (if jobs = 0 then Parallel.default_jobs () else max 1 jobs);
-          capacity = cache_models;
-          debug;
-          max_pending = opts.max_pending;
-          max_inflight = opts.max_inflight;
-          default_timeout = opts.default_timeout;
-          default_node_limit = opts.default_node_limit;
-          max_timeout = opts.max_timeout;
-          mem_high_water = opts.mem_high_water;
-          state_dir = opts.state_dir;
-          crash_after;
-          restarts = 0;
-        }
-      in
-      if supervise then Server.Supervise.run dcfg
-      else Server.Daemon.serve dcfg
-    end
+      match inject with
+      | Some (Engine.Worker _) ->
+        Error "--inject worker:N applies to one-shot --jobs runs, not --serve"
+      | _ when per_check <> [] ->
+        Error
+          (Printf.sprintf
+             "--serve: per-check flags belong in each request's options: %s"
+             (String.concat " " per_check))
+      | _ when one_shot_flags <> [] ->
+        Error
+          (Printf.sprintf "--serve: flags of one-shot runs do not apply: %s"
+             (String.concat " " one_shot_flags))
+      | _ -> Ok dcfg
+    in
+    match checked with
+    | Error msg -> input_error msg
+    | Ok dcfg ->
+      if supervise then Server.Supervise.run dcfg else Server.Daemon.serve dcfg
   end
   else
     match file with
-    | None ->
-      Format.eprintf "smv_check: required MODEL.smv argument is missing@.";
-      3
+    | None -> input_error "smv_check: required MODEL.smv argument is missing"
     | Some f -> (
       install_sigint ();
-      match run opts f with
+      match
+        let* opts = opts in
+        let* jobs = jobs in
+        let* inject = inject in
+        let* crash_worker =
+          match inject with
+          | Some (Engine.Worker _) when jobs < 2 ->
+            Error "--inject worker:N requires a parallel run (--jobs >= 2)"
+          | Some (Engine.Worker n) -> Ok (Some n)
+          | Some (Engine.Child_crash _) ->
+            Error "--inject child-crash:K requires --serve"
+          | Some (Engine.Fault _) | None -> Ok None
+        in
+        let opts =
+          match inject with
+          | Some (Engine.Fault (site, n)) ->
+            { opts with Engine.inject = Some (site, n) }
+          | _ -> opts
+        in
+        run opts ~jobs ~debug ~crash_worker ~extra_specs ~cache_limit ~simulate
+          ~seed f
+      with
       | Ok code -> code
-      | Error msg ->
-        Format.eprintf "%s@." msg;
-        3
+      | Error msg -> input_error msg
       | exception e when not debug ->
         (* Crash guard: anything unexpected outside the per-spec
            isolation becomes a one-line diagnostic. *)
@@ -991,15 +933,6 @@ let cmd =
   in
   Cmd.v
     (Cmd.info "smv_check" ~version:"1.0.0" ~doc ~man)
-    Term.(
-      const main $ file_arg $ spec_arg $ no_fair_arg $ fair_engine_arg
-      $ no_trace_arg $ stats_arg $ partitioned_arg $ cache_limit_arg $ simulate_arg
-      $ seed_arg $ timeout_arg $ node_limit_arg $ step_limit_arg
-      $ jobs_arg $ retries_arg $ retry_factor_arg $ certify_arg
-      $ inject_arg $ reorder_arg $ reorder_threshold_arg $ debug_arg
-      $ serve_arg $ socket_arg $ cache_models_arg $ max_pending_arg
-      $ max_inflight_arg $ default_timeout_arg $ default_node_limit_arg
-      $ max_timeout_arg $ mem_high_water_arg $ supervise_arg
-      $ state_dir_arg $ status_arg)
+    main
 
 let () = exit (Cmd.eval' cmd)

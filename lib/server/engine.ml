@@ -4,6 +4,8 @@
    behaviour fixes (per-check cancellation, spec-pred rooting) that
    came with the move. *)
 
+let ( let* ) = Result.bind
+
 type verdict = Holds | Fails | Undetermined of string
 type report = { verdict : verdict; cert_failed : bool }
 
@@ -13,18 +15,118 @@ type opts = {
   traces : bool;
   stats : bool;
   certify : bool;
-  debug : bool;
+  partitioned : bool;
   timeout : float option;
   node_limit : int option;
   step_limit : int option;
   retries : int;
   retry_factor : float;
-  cancel : bool Atomic.t;
+  inject : (Bdd.Fault.site * int) option;
+  reorder : [ `None | `Once | `Auto ];
+  reorder_threshold : int;
 }
 
-let mk_limits opts =
+let default_opts =
+  {
+    fair = true;
+    fair_engine = Ctl.Fair.El;
+    traces = true;
+    stats = false;
+    certify = false;
+    partitioned = false;
+    timeout = None;
+    node_limit = None;
+    step_limit = None;
+    retries = 0;
+    retry_factor = 2.0;
+    inject = None;
+    reorder = `None;
+    reorder_threshold = 4096;
+  }
+
+let reorder_modes = [ ("none", `None); ("once", `Once); ("auto", `Auto) ]
+
+(* Messages name the CLI flag and the request key: the same check
+   guards both decoders. *)
+let validate_opts o =
+  let bad flag key what = Error (Printf.sprintf "%s / %S: %s" flag key what) in
+  let nonpositive = function Some n -> n <= 0 | None -> false in
+  if Option.fold ~none:false ~some:(fun t -> t <= 0.0) o.timeout then
+    bad "--timeout" "timeout" "SECS must be positive"
+  else if nonpositive o.node_limit then
+    bad "--node-limit" "node_limit" "N must be positive"
+  else if nonpositive o.step_limit then
+    bad "--step-limit" "step_limit" "N must be positive"
+  else if o.retries < 0 then bad "--retries" "retries" "N must be >= 0"
+  else if o.reorder_threshold <= 0 then
+    bad "--reorder-threshold" "reorder_threshold" "N must be positive"
+  else if o.retry_factor < 1.0 then
+    bad "--retry-budget-factor" "retry_factor" "F must be >= 1.0"
+  else Ok ()
+
+type inject = Fault of Bdd.Fault.site * int | Worker of int | Child_crash of int
+
+let parse_inject ?seed s =
+  match String.index_opt s ':' with
+  | None -> Error "expected SITE:COUNT (e.g. mk:1000, step:3, worker:1)"
+  | Some i -> (
+    let site = String.sub s 0 i in
+    let count = String.sub s (i + 1) (String.length s - i - 1) in
+    let* n =
+      match (int_of_string_opt count, seed) with
+      | Some n, _ when n >= 1 -> Ok n
+      | None, Some seed when count = "rand" ->
+        (* Seeded so chaos runs are reproducible: same seed, same
+           injection point. *)
+        let rng = Random.State.make [| seed; 0x1aB2 |] in
+        Ok (1 + Random.State.int rng 4096)
+      | _ ->
+        Error
+          ("COUNT must be a positive integer"
+          ^ if seed = None then "" else " or 'rand'")
+    in
+    match site with
+    | "worker" -> Ok (Worker n)
+    | "child-crash" -> Ok (Child_crash n)
+    | _ -> (
+      match Bdd.Fault.site_of_string site with
+      | Some fs -> Ok (Fault (fs, n))
+      | None ->
+        Error
+          (Printf.sprintf
+             "unknown site %S (expected mk, probe, gc, step, reorder, worker \
+              or child-crash)"
+             site)))
+
+let compile_model ~what load =
+  let at pos = Format.asprintf "%a" Smv.Ast.pp_pos pos in
+  match load () with
+  | compiled -> Ok compiled
+  | exception Smv.Lexer.Error (msg, pos) ->
+    Error (Printf.sprintf "%s: lexical error at %s: %s" what (at pos) msg)
+  | exception Smv.Parser.Error (msg, pos) ->
+    Error (Printf.sprintf "%s: syntax error at %s: %s" what (at pos) msg)
+  | exception (Smv.Compile.Error (msg, pos) | Smv.Flatten.Error (msg, pos)) ->
+    let where = match pos with Some p -> " at " ^ at p | None -> "" in
+    Error (Printf.sprintf "%s: error%s: %s" what where msg)
+
+let compile_specs ~what compiled texts =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | text :: rest -> (
+      match Smv.Compile.compile_expr compiled text with
+      | f -> go ((text, f) :: acc) rest
+      | exception
+          ( Smv.Lexer.Error (msg, _)
+          | Smv.Parser.Error (msg, _)
+          | Smv.Compile.Error (msg, _) ) ->
+        Error (Printf.sprintf "%s %S: %s" what text msg))
+  in
+  go [] texts
+
+let mk_limits opts ~cancel =
   Bdd.Limits.create ?timeout:opts.timeout ?node_budget:opts.node_limit
-    ?step_budget:opts.step_limit ~cancel:opts.cancel ()
+    ?step_budget:opts.step_limit ~cancel ()
 
 let exit_code ~interrupted reports =
   let verdicts = List.map (fun r -> r.verdict) reports in
@@ -153,7 +255,8 @@ type attempt_result = {
          engine on every retry (the ladder's engine-fallback rung) *)
 }
 
-let check_one ppf m ~opts ~clusters ?inject ?prior (name, spec) =
+let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?prior
+    (name, spec) =
   let man = m.Kripke.man in
   (* Monotonic, not calendar, time: the retry pool arithmetic below
      must not jump when NTP steps the clock mid-spec. *)
@@ -182,11 +285,11 @@ let check_one ppf m ~opts ~clusters ?inject ?prior (name, spec) =
         Some (Float.max 0.05 ((total -. elapsed) /. float_of_int left))
   in
   let limits_for k =
-    if k = 1 then mk_limits opts
+    if k = 1 then mk_limits opts ~cancel
     else
       Bdd.Limits.create ?timeout:(timeout_for k)
         ?node_budget:(backoff k opts.node_limit)
-        ?step_budget:(backoff k opts.step_limit) ~cancel:opts.cancel ()
+        ?step_budget:(backoff k opts.step_limit) ~cancel ()
   in
   (* Engine fallback (see Robust.Ladder): attempt 1 honours the
      requested fair engine; any breach or crash retries on the
@@ -263,7 +366,7 @@ let check_one ppf m ~opts ~clusters ?inject ?prior (name, spec) =
          still apply (the enumeration's symbolic steps poll them);
          node/step budgets do not — they measure symbolic work. *)
       let limits =
-        Bdd.Limits.create ?timeout:(timeout_for attempt) ~cancel:opts.cancel ()
+        Bdd.Limits.create ?timeout:(timeout_for attempt) ~cancel ()
       in
       let fb =
         Bdd.Limits.with_attached man limits (fun () ->
@@ -289,7 +392,7 @@ let check_one ppf m ~opts ~clusters ?inject ?prior (name, spec) =
   (* Arm the injected fault (chaos testing) for this specification;
      one-shot, and disarmed on every exit path so a fault armed for
      spec k can never leak into spec k+1. *)
-  (match inject with
+  (match opts.inject with
   | Some (site, n) -> Bdd.Fault.arm man ~site ~after:n
   | None -> ());
   Bdd.with_root man (fun () -> spec_preds) @@ fun () ->
@@ -301,7 +404,7 @@ let check_one ppf m ~opts ~clusters ?inject ?prior (name, spec) =
       let outcome =
         match
           Robust.Ladder.run ~retries:opts.retries
-            ~cancelled:(fun () -> Atomic.get opts.cancel)
+            ~cancelled:(fun () -> Atomic.get cancel)
             ~fits_explicit:(fun () -> Robust.Fallback.fits m)
             ~live_nodes:(fun () -> Bdd.live_nodes man)
             ?prior attempt_fn
@@ -315,7 +418,7 @@ let check_one ppf m ~opts ~clusters ?inject ?prior (name, spec) =
           print_breach_progress ppf info;
           ignore (Bdd.gc man);
           Error (Robust.Ladder.Breach info, [])
-        | exception e when not opts.debug ->
+        | exception e when not debug ->
           Format.fprintf ppf
             "-- specification %s is UNDETERMINED (internal error: %s)@."
             name (Printexc.to_string e);
@@ -342,7 +445,7 @@ let check_one ppf m ~opts ~clusters ?inject ?prior (name, spec) =
           print_breach_progress ppf info;
           ignore (Bdd.gc man)
         | Robust.Ladder.Oom, _ :: _ ->
-          if opts.debug && opts.retries = 0 then raise Out_of_memory;
+          if debug && opts.retries = 0 then raise Out_of_memory;
           Format.fprintf ppf
             "-- specification %s is UNDETERMINED (internal error: %s)@." name
             (Printexc.to_string Out_of_memory)
@@ -382,7 +485,7 @@ let check_one ppf m ~opts ~clusters ?inject ?prior (name, spec) =
                     ~fallback:ar.ar_fallback spec)
             with
             | tr -> tr
-            | exception e when not opts.debug ->
+            | exception e when not debug ->
               Format.fprintf ppf "-- (trace construction failed: %s)@."
                 (Printexc.to_string e);
               None
@@ -395,7 +498,7 @@ let check_one ppf m ~opts ~clusters ?inject ?prior (name, spec) =
             (* Certification runs uncapped but cancellable: the trace
                is already in hand, only cancellation may stop its
                re-validation. *)
-            let climits = Bdd.Limits.create ~cancel:opts.cancel () in
+            let climits = Bdd.Limits.create ~cancel () in
             let cert =
               if holds then
                 Robust.Certify.witness ~limits:climits ~engine:ar.ar_engine m

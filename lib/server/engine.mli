@@ -12,7 +12,7 @@
 
     Two deliberate behaviour fixes ride along with the extraction:
     {ul
-    {- cancellation is an explicit [opts.cancel] atomic rather than a
+    {- cancellation is an explicit [cancel] atomic rather than a
        process global, so every server request carries its own flag
        and cancelling one request cannot abort another;}
     {- the spec's embedded [Pred] state sets are rooted for the
@@ -31,29 +31,86 @@ type verdict = Holds | Fails | Undetermined of string
     trace failed certification (which forces exit code 3). *)
 type report = { verdict : verdict; cert_failed : bool }
 
-(** Checking options — the subset of the CLI's flags that govern one
-    specification's check, plus the cancellation flag it must obey. *)
+(** The per-check options: the one schema both front ends decode onto.
+    The CLI builds it from its flags and the check server from a
+    request's ["options"] object; both start from {!default_opts} and
+    both run {!validate_opts}, so a flagless one-shot run and an
+    option-less request check alike.  Each field below is given as
+    JSON key / CLI flag; on the wire a [bool] is a JSON boolean, an
+    [int] or [float] a number, and [fair_engine], [reorder] and
+    [inject] are strings spelled as on the CLI.  [partitioned] and
+    [reorder] shape the model the caller compiles; the rest steer
+    {!check_one}. *)
 type opts = {
-  fair : bool;          (** honour FAIRNESS constraints *)
+  fair : bool;
+      (** ["fair"] / [--no-fairness] (negated): honour FAIRNESS
+          constraints when deciding specifications *)
   fair_engine : Ctl.Fair.engine;
-      (** which fair-cycle engine decides fair [EG] fixpoints on the
-          first attempt; retries always fall back to the classical
-          Emerson-Lei engine (see [Robust.Ladder]) *)
-  traces : bool;        (** print witness / counterexample traces *)
-  stats : bool;         (** print per-spec attempt logs on retries *)
-  certify : bool;       (** re-validate every emitted trace *)
-  debug : bool;         (** let unexpected exceptions escape *)
-  timeout : float option;
-  node_limit : int option;
-  step_limit : int option;
-  retries : int;
-  retry_factor : float;
-  cancel : bool Atomic.t;  (** set to true to cancel this check *)
+      (** ["fair_engine"] / [--fair-engine]: which fair-cycle engine
+          decides fair [EG] fixpoints on the first attempt; retries
+          always fall back to the classical Emerson-Lei engine (see
+          [Robust.Ladder]) *)
+  traces : bool;
+      (** ["traces"] / [-q] (negated): print witness / counterexample
+          traces *)
+  stats : bool;
+      (** ["stats"] / [--stats]: print per-spec attempt logs on
+          retries.  The server answers with the reply's ["stats"]
+          object; the CLI also prints model and run statistics. *)
+  certify : bool;
+      (** ["certify"] / [--certify]: re-validate every emitted trace *)
+  partitioned : bool;
+      (** ["partitioned"] / [--partitioned]: compile a conjunctively
+          partitioned transition relation *)
+  timeout : float option;  (** ["timeout"] / [--timeout]: seconds per spec *)
+  node_limit : int option;  (** ["node_limit"] / [--node-limit] *)
+  step_limit : int option;  (** ["step_limit"] / [--step-limit] *)
+  retries : int;  (** ["retries"] / [--retries] *)
+  retry_factor : float;  (** ["retry_factor"] / [--retry-budget-factor] *)
+  inject : (Bdd.Fault.site * int) option;
+      (** ["inject"] / [--inject SITE:COUNT]: arm a fault for every
+          checked spec, disarmed again on exit *)
+  reorder : [ `None | `Once | `Auto ];  (** ["reorder"] / [--reorder] *)
+  reorder_threshold : int;  (** ["reorder_threshold"] / [--reorder-threshold] *)
 }
 
-val mk_limits : opts -> Bdd.Limits.t
+val default_opts : opts
+(** The flag defaults: fair, El engine, traces on, everything else
+    off or unbounded, [retry_factor = 2.0], [reorder_threshold = 4096]. *)
+
+val reorder_modes : (string * [ `None | `Once | `Auto ]) list
+(** The [reorder] values by name, as both front ends spell them. *)
+
+val validate_opts : opts -> (unit, string) result
+(** The range checks: positive budgets and threshold, [retries >= 0],
+    [retry_factor >= 1.0].  The message names the flag and the key. *)
+
+(** A parsed [SITE:COUNT] fault: a BDD-manager site armed inside each
+    check, or one of the process-level sites only the CLI arms — kill
+    the worker domain taking the [n]-th spec ([worker], one-shot
+    [--jobs]) or SIGKILL the server after its [n]-th reply
+    ([child-crash], [--serve]). *)
+type inject = Fault of Bdd.Fault.site * int | Worker of int | Child_crash of int
+
+val parse_inject : ?seed:int -> string -> (inject, string) result
+(** Parse [SITE:COUNT].  With [seed], COUNT may also be ["rand"]: a
+    seeded draw in 1..4096. *)
+
+val compile_model :
+  what:string -> (unit -> Smv.Compile.compiled) ->
+  (Smv.Compile.compiled, string) result
+(** Run a model load, turning the front end's errors into
+    ["WHAT: syntax error at line L, column C: MSG"] and the like. *)
+
+val compile_specs :
+  what:string -> Smv.Compile.compiled -> string list ->
+  ((string * Ctl.t) list, string) result
+(** Compile extra CTL formulas against the model, in order; the first
+    failure is [Error "WHAT \"TEXT\": MSG"]. *)
+
+val mk_limits : opts -> cancel:bool Atomic.t -> Bdd.Limits.t
 (** A fresh budget bundle carrying [opts]' budgets, cancellable
-    through [opts.cancel]. *)
+    through [cancel]. *)
 
 val exit_code :
   interrupted:bool -> report list -> int
@@ -66,8 +123,9 @@ val check_one :
   Format.formatter ->
   Kripke.t ->
   opts:opts ->
+  cancel:bool Atomic.t ->
+  ?debug:bool ->
   clusters:(unit -> Bdd.t list) ->
-  ?inject:Bdd.Fault.site * int ->
   ?prior:Robust.Ladder.attempt list ->
   string * Ctl.t ->
   report
@@ -79,9 +137,12 @@ val check_one :
     formatter: the sequential CLI passes the standard formatter, the
     parallel CLI and the server a buffer.
 
+    [cancel] stops the check at its next poll point (a one-shot run
+    shares one flag across specs, a server request owns one);
+    [debug] (default [false]) lets unexpected exceptions escape;
     [clusters] supplies the transition clusters for the degraded rung
     (a thunk: workers transfer them onto their own manager lazily);
-    [inject] arms the manager's fault before the first attempt, and is
-    always disarmed again on exit; [prior] carries a crashed worker
+    [opts.inject] arms the manager's fault before the first attempt,
+    and is always disarmed again on exit; [prior] carries a crashed worker
     attempt so the local re-run resumes the ladder instead of
     restarting it. *)

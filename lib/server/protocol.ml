@@ -3,49 +3,12 @@
 
 let ( let* ) = Result.bind
 
-type options = {
-  fair : bool;
-  fair_engine : Ctl.Fair.engine;
-  traces : bool;
-  stats : bool;
-  certify : bool;
-  partitioned : bool;
-  retries : int;
-  retry_factor : float;
-  timeout : float option;
-  node_limit : int option;
-  step_limit : int option;
-  inject : (Bdd.Fault.site * int) option;
-  reorder : [ `None | `Once | `Auto ];
-  reorder_threshold : int;
-}
-
-(* Defaults mirror the one-shot CLI flag defaults: an option-less
-   check request must behave exactly like `smv_check MODEL`. *)
-let default_options =
-  {
-    fair = true;
-    fair_engine = Ctl.Fair.El;
-    traces = true;
-    stats = false;
-    certify = false;
-    partitioned = false;
-    retries = 0;
-    retry_factor = 2.0;
-    timeout = None;
-    node_limit = None;
-    step_limit = None;
-    inject = None;
-    reorder = `None;
-    reorder_threshold = 4096;
-  }
-
 type request =
   | Check of {
       id : string;
       model : string;
       specs : string list;
-      options : options;
+      options : Engine.opts;
     }
   | Cancel of { id : string }
   | Ping
@@ -62,124 +25,62 @@ type spec_verdict = {
 
 let field_error name kind = Error (Printf.sprintf "%S must be %s" name kind)
 
-let opt_field fields name decode kind =
-  match List.assoc_opt name fields with
-  | None | Some Json.Null -> Ok None
-  | Some v -> (
-    match decode v with
-    | Some x -> Ok (Some x)
-    | None -> field_error name kind)
-
-let with_default default = Result.map (Option.value ~default)
-
-let parse_inject s =
-  match String.index_opt s ':' with
-  | None -> Error "\"inject\" must be SITE:COUNT (e.g. mk:1000)"
-  | Some i -> (
-    let site = String.sub s 0 i in
-    let count = String.sub s (i + 1) (String.length s - i - 1) in
-    let* n =
-      match int_of_string_opt count with
-      | Some n when n >= 1 -> Ok n
-      | Some _ | None -> Error "\"inject\": COUNT must be a positive integer"
-    in
-    match Bdd.Fault.site_of_string site with
-    | Some fs -> Ok (fs, n)
-    | None ->
-      Error
-        (Printf.sprintf
-           "\"inject\": unknown site %S (expected mk, probe, gc, step or \
-            reorder)"
-           site))
-
-let parse_reorder = function
-  | "none" -> Ok `None
-  | "once" -> Ok `Once
-  | "auto" -> Ok `Auto
-  | s ->
-    Error
-      (Printf.sprintf "\"reorder\": unknown mode %S (none, once or auto)" s)
-
+(* Decode the request's options onto the CLI defaults, one key at a
+   time; [null] keeps the default, an unknown key is an error. *)
 let parse_options json =
-  let fields = Json.obj_or_empty json in
-  let d = default_options in
-  let bool_f name default =
-    with_default default (opt_field fields name Json.to_bool "a boolean")
+  let decode o (key, v) =
+    let field decode kind set =
+      match (v, decode v) with
+      | Json.Null, _ -> Ok o
+      | _, Some x -> set x
+      | _, None -> field_error key kind
+    in
+    let bool set = field Json.to_bool "a boolean" (fun b -> Ok (set b))
+    and int set = field Json.to_int "an integer" (fun n -> Ok (set n))
+    and num set = field Json.to_num "a number" (fun x -> Ok (set x)) in
+    let enum what of_string set =
+      field Json.to_str "a string" (fun s ->
+          match of_string s with
+          | Some x -> Ok (set x)
+          | None -> Error (Printf.sprintf "%S: unknown %s %S" key what s))
+    in
+    match key with
+    | "fair" -> bool (fun fair -> { o with Engine.fair })
+    | "traces" -> bool (fun traces -> { o with Engine.traces })
+    | "stats" -> bool (fun stats -> { o with Engine.stats })
+    | "certify" -> bool (fun certify -> { o with Engine.certify })
+    | "partitioned" -> bool (fun partitioned -> { o with Engine.partitioned })
+    | "retries" -> int (fun retries -> { o with Engine.retries })
+    | "retry_factor" -> num (fun retry_factor -> { o with Engine.retry_factor })
+    | "timeout" -> num (fun t -> { o with Engine.timeout = Some t })
+    | "node_limit" -> int (fun n -> { o with Engine.node_limit = Some n })
+    | "step_limit" -> int (fun n -> { o with Engine.step_limit = Some n })
+    | "reorder_threshold" ->
+      int (fun reorder_threshold -> { o with Engine.reorder_threshold })
+    | "reorder" ->
+      enum "mode (none, once or auto)"
+        (fun s -> List.assoc_opt s Engine.reorder_modes)
+        (fun reorder -> { o with Engine.reorder })
+    | "fair_engine" ->
+      enum "engine (el or lockstep)" Ctl.Fair.engine_of_string
+        (fun fair_engine -> { o with Engine.fair_engine })
+    | "inject" ->
+      field Json.to_str "a string" (fun s ->
+          match Engine.parse_inject s with
+          | Ok (Engine.Fault (site, n)) ->
+            Ok { o with Engine.inject = Some (site, n) }
+          | Ok (Engine.Worker _ | Engine.Child_crash _) ->
+            Error (Printf.sprintf "\"inject\": %S is a CLI-only site" s)
+          | Error e -> Error ("\"inject\": " ^ e))
+    | _ -> Error (Printf.sprintf "unknown option %S" key)
   in
-  let int_f name default =
-    with_default default (opt_field fields name Json.to_int "an integer")
+  let* o =
+    List.fold_left
+      (fun acc field -> Result.bind acc (fun o -> decode o field))
+      (Ok Engine.default_opts) (Json.obj_or_empty json)
   in
-  let* fair = bool_f "fair" d.fair in
-  let* traces = bool_f "traces" d.traces in
-  let* stats = bool_f "stats" d.stats in
-  let* certify = bool_f "certify" d.certify in
-  let* partitioned = bool_f "partitioned" d.partitioned in
-  let* retries = int_f "retries" d.retries in
-  let* retry_factor =
-    with_default d.retry_factor
-      (opt_field fields "retry_factor" Json.to_num "a number")
-  in
-  let* timeout = opt_field fields "timeout" Json.to_num "a number" in
-  let* node_limit = opt_field fields "node_limit" Json.to_int "an integer" in
-  let* step_limit = opt_field fields "step_limit" Json.to_int "an integer" in
-  let* reorder_threshold = int_f "reorder_threshold" d.reorder_threshold in
-  let* inject_s = opt_field fields "inject" Json.to_str "a string" in
-  let* inject =
-    match inject_s with
-    | None -> Ok None
-    | Some s -> Result.map Option.some (parse_inject s)
-  in
-  let* reorder_s = opt_field fields "reorder" Json.to_str "a string" in
-  let* reorder =
-    match reorder_s with None -> Ok d.reorder | Some s -> parse_reorder s
-  in
-  let* engine_s = opt_field fields "fair_engine" Json.to_str "a string" in
-  let* fair_engine =
-    match engine_s with
-    | None -> Ok d.fair_engine
-    | Some s -> (
-      match Ctl.Fair.engine_of_string s with
-      | Some e -> Ok e
-      | None ->
-        Error
-          (Printf.sprintf "\"fair_engine\": unknown engine %S (el or lockstep)"
-             s))
-  in
-  (* The same sanity checks the CLI's [validate] performs, so a bad
-     option is a request error, not a mid-check surprise. *)
-  let* () =
-    if retries < 0 then Error "\"retries\" must be >= 0" else Ok ()
-  in
-  let* () =
-    if retry_factor < 1.0 then Error "\"retry_factor\" must be >= 1.0"
-    else Ok ()
-  in
-  let* () =
-    match timeout with
-    | Some t when t <= 0.0 -> Error "\"timeout\" must be positive"
-    | _ -> Ok ()
-  in
-  let* () =
-    match node_limit with
-    | Some n when n <= 0 -> Error "\"node_limit\" must be positive"
-    | _ -> Ok ()
-  in
-  let* () =
-    match step_limit with
-    | Some n when n <= 0 -> Error "\"step_limit\" must be positive"
-    | _ -> Ok ()
-  in
-  let* () =
-    if reorder_threshold <= 0 then
-      Error "\"reorder_threshold\" must be positive"
-    else Ok ()
-  in
-  Ok
-    {
-      fair; fair_engine; traces; stats; certify; partitioned; retries;
-      retry_factor; timeout; node_limit; step_limit; inject; reorder;
-      reorder_threshold;
-    }
+  let* () = Engine.validate_opts o in
+  Ok o
 
 let parse_request payload =
   let* json =

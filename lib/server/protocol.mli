@@ -21,14 +21,13 @@
        counters.  The probe load balancers and CI poll.}
     {- [{"op":"shutdown"}] — stop accepting requests, drain, exit.}}
 
-    Option fields (all optional; defaults in {!default_options} match
-    the one-shot CLI's defaults so an option-less request behaves
-    exactly like [smv_check MODEL]): booleans [fair], [traces],
-    [stats], [certify], [partitioned]; integers [retries],
-    [node_limit], [step_limit], [reorder_threshold]; numbers
-    [timeout], [retry_factor]; strings [inject] ("SITE:COUNT" as on
-    the CLI, minus "worker"), [reorder] ("none"/"once"/"auto") and
-    [fair_engine] ("el"/"lockstep", the CLI's [--fair-engine]).
+    The ["options"] object is decoded onto {!Engine.default_opts}, so
+    an option-less request behaves exactly like [smv_check MODEL]; its
+    keys and their CLI counterparts are documented on {!Engine.opts}.
+    [null] keeps a default, an unknown key is a request error, and the
+    decoded record passes {!Engine.validate_opts}.  [inject] takes the
+    CLI's [SITE:COUNT] without the process-level [worker] and
+    [child-crash] sites or a ["rand"] count.
 
     {2 Replies}
 
@@ -49,31 +48,12 @@
     BDD work: snapshot-diffed manager counters, so concurrent
     requests don't bleed into each other) and ["reach_states"]. *)
 
-type options = {
-  fair : bool;
-  fair_engine : Ctl.Fair.engine;
-  traces : bool;
-  stats : bool;
-  certify : bool;
-  partitioned : bool;
-  retries : int;
-  retry_factor : float;
-  timeout : float option;
-  node_limit : int option;
-  step_limit : int option;
-  inject : (Bdd.Fault.site * int) option;
-  reorder : [ `None | `Once | `Auto ];
-  reorder_threshold : int;
-}
-
-val default_options : options
-
 type request =
   | Check of {
       id : string;
       model : string;
       specs : string list;  (** extra formulas, after the model's SPECs *)
-      options : options;
+      options : Engine.opts;
     }
   | Cancel of { id : string }
   | Ping

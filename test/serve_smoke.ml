@@ -241,6 +241,55 @@ let test_chaos_isolation () =
   expect "server exits 0 after chaos" (wait_exit srv = 0)
 
 (* ------------------------------------------------------------------ *)
+(* 2b. Option parity: each per-check CLI flag and its request key give
+   the same bytes.  One cold server per row, so no row inherits another
+   row's warm manager.  [stats] is left out: its server form is the
+   reply's stats object, not output text. *)
+
+let parity_rows =
+  let num n = Json.Num (float_of_int n) in
+  [
+    ("flagless", [], []);
+    ("fair", [ "--no-fairness" ], [ ("fair", Json.Bool false) ]);
+    ("traces", [ "-q" ], [ ("traces", Json.Bool false) ]);
+    ("certify", [ "--certify" ], [ ("certify", Json.Bool true) ]);
+    ("partitioned", [ "--partitioned" ], [ ("partitioned", Json.Bool true) ]);
+    ( "retries",
+      [ "--step-limit"; "3"; "--retries"; "2"; "--retry-budget-factor"; "4" ],
+      [ ("step_limit", num 3); ("retries", num 2); ("retry_factor", num 4) ] );
+    ("step_limit", [ "--step-limit"; "3" ], [ ("step_limit", num 3) ]);
+    ("node_limit", [ "--node-limit"; "200" ], [ ("node_limit", num 200) ]);
+    ( "reorder",
+      [ "--reorder"; "auto"; "--reorder-threshold"; "50" ],
+      [ ("reorder", Json.Str "auto"); ("reorder_threshold", num 50) ] );
+    ( "fair_engine",
+      [ "--fair-engine"; "lockstep" ],
+      [ ("fair_engine", Json.Str "lockstep") ] );
+    ("inject", [ "--inject"; "mk:20" ], [ ("inject", Json.Str "mk:20") ]);
+  ]
+
+let test_option_parity () =
+  let path = model_path "ring.smv" in
+  let src = read_file path in
+  List.iter
+    (fun (name, flags, options) ->
+      let code, out = run_cli (flags @ [ path ]) in
+      let srv = spawn_server [] in
+      send srv (check_req ~id:name ~options src);
+      let v = collect_replies srv [ name ] name in
+      expect
+        (Printf.sprintf "parity %s: output byte-identical to one-shot" name)
+        (str "output" v = Some out);
+      expect
+        (Printf.sprintf "parity %s: exit code matches one-shot" name)
+        (num "exit_code" v = Some (float_of_int code));
+      send srv (Json.Obj [ ("op", Json.Str "shutdown") ]);
+      expect
+        (Printf.sprintf "parity %s: server exits 0" name)
+        (wait_exit srv = 0))
+    parity_rows
+
+(* ------------------------------------------------------------------ *)
 (* 3. Protocol robustness *)
 
 let test_protocol_errors () =
@@ -347,6 +396,7 @@ let () =
   ignore (Unix.alarm 300);
   test_identity_and_warmth ();
   test_chaos_isolation ();
+  test_option_parity ();
   test_protocol_errors ();
   test_sigint_drain ();
   test_socket_mode ();

@@ -5,8 +5,8 @@
 
 let exe = Filename.concat (Filename.concat ".." "bin") "smv_check.exe"
 
-let run args =
-  let cmd = Filename.quote_command exe args ^ " 2>&1" in
+let run ?stdin args =
+  let cmd = Filename.quote_command exe ?stdin args ^ " 2>&1" in
   let ic = Unix.open_process_in cmd in
   let buf = Buffer.create 1024 in
   (try
@@ -119,6 +119,12 @@ let test_recovery_flags_validated () =
   Alcotest.(check int) "--inject worker without --jobs: exit 3" 3 code;
   Alcotest.(check bool) "worker-inject message" true
     (contains ~needle:"requires a parallel run" out);
+  (* --jobs 0 means one worker per core: a parallel run exactly when
+     the host has two or more. *)
+  let code, _ = run [ path; "--jobs"; "0"; "--inject"; "worker:1" ] in
+  Alcotest.(check int) "--inject worker with --jobs 0"
+    (if Parallel.default_jobs () >= 2 then 2 else 3)
+    code;
   Sys.remove path
 
 (* --retries must decide the budget-starved counter12 spec that the
@@ -169,6 +175,33 @@ let test_inject_contained_and_recovered () =
   Alcotest.(check bool) "no undetermined left" true
     (not (contains ~needle:"UNDETERMINED" out))
 
+(* --serve applies server flags only: a flag it would drop or clamp
+   is an input error naming that flag. *)
+let test_serve_refuses_flags () =
+  List.iter
+    (fun (args, flag) ->
+      let what = String.concat " " args in
+      let code, out = run ~stdin:"/dev/null" ("--serve" :: args) in
+      Alcotest.(check int) (what ^ ": exit 3") 3 code;
+      Alcotest.(check bool) (what ^ ": message names " ^ flag) true
+        (contains ~needle:flag out))
+    [
+      ([ "--jobs=-3" ], "--jobs");
+      ([ "--inject"; "mk:5" ], "--inject");
+      ([ "--inject"; "child-crash:abc" ], "--inject");
+      ([ "--timeout"; "0.001"; "--certify" ], "--timeout");
+      ([ "--spec"; "AG TRUE" ], "--spec");
+      ([ "--simulate"; "3" ], "--simulate");
+      ([ "--cache-limit"; "10" ], "--cache-limit");
+      ([ "--seed"; "7" ], "--seed");
+    ];
+  (* --seed has no request key: it is not listed as a per-check flag. *)
+  let _, out = run ~stdin:"/dev/null" [ "--serve"; "--seed"; "7"; "--certify" ] in
+  Alcotest.(check bool) "per-check flags listed" true
+    (contains ~needle:"options: --certify" out);
+  Alcotest.(check bool) "--seed not listed as per-check" false
+    (contains ~needle:"--seed" out)
+
 let test_simulate_runs () =
   let path = temp_model all_true_model in
   let code, out = run [ path; "--simulate"; "4"; "--seed"; "7"; "-q" ] in
@@ -199,4 +232,6 @@ let suite =
       test_inject_contained_and_recovered;
     Alcotest.test_case "--simulate walks symbolically" `Quick
       test_simulate_runs;
+    Alcotest.test_case "--serve refuses flags it would not apply" `Quick
+      test_serve_refuses_flags;
   ]

@@ -219,26 +219,17 @@ let test_protocol_parse_check () =
     Alcotest.(check string) "id" "r1" id;
     Alcotest.(check string) "model" "MODULE main" model;
     Alcotest.(check (list string)) "specs" [ "EF x" ] specs;
-    Alcotest.(check bool) "fair" false options.Protocol.fair;
-    Alcotest.(check bool) "stats" true options.Protocol.stats;
-    Alcotest.(check int) "retries" 2 options.Protocol.retries;
+    Alcotest.(check bool) "fair" false options.Engine.fair;
+    Alcotest.(check bool) "stats" true options.Engine.stats;
+    Alcotest.(check int) "retries" 2 options.Engine.retries;
     Alcotest.(check (option (float 1e-9))) "timeout" (Some 1.5)
-      options.Protocol.timeout;
+      options.Engine.timeout;
     Alcotest.(check bool) "inject parsed" true
-      (options.Protocol.inject = Some (Bdd.Fault.Mk, 10));
+      (options.Engine.inject = Some (Bdd.Fault.Mk, 10));
     Alcotest.(check bool) "reorder auto" true
-      (options.Protocol.reorder = `Auto)
+      (options.Engine.reorder = `Auto)
   | Ok _ -> Alcotest.fail "parsed as the wrong op"
   | Error e -> Alcotest.failf "parse failed: %s" e
-
-let test_protocol_defaults () =
-  match
-    Protocol.parse_request {|{"op":"check","id":"a","model":"m"}|}
-  with
-  | Ok (Protocol.Check { options; _ }) ->
-    Alcotest.(check bool) "defaults are the CLI defaults" true
-      (options = Protocol.default_options)
-  | Ok _ | Error _ -> Alcotest.fail "minimal check request must parse"
 
 let test_protocol_errors () =
   let expect_err payload =
@@ -254,6 +245,8 @@ let test_protocol_errors () =
   expect_err {|{"op":"check","id":"a","model":"m","options":{"timeout":0}}|};
   expect_err
     {|{"op":"check","id":"a","model":"m","options":{"inject":"bogus:1"}}|};
+  (* a typo for "traces" *)
+  expect_err {|{"op":"check","id":"a","model":"m","options":{"trace":false}}|};
   expect_err {|{"op":"cancel"}|};
   (* id missing *)
   match Protocol.parse_request {|{"op":"ping"}|} with
@@ -364,28 +357,12 @@ SPEC AG !(p = crit & p = idle)
 
 let compile source = Smv.load_string source
 
-let engine_opts ?(cancel = Atomic.make false) () =
-  {
-    Engine.fair = true;
-    fair_engine = Ctl.Fair.El;
-    traces = true;
-    stats = false;
-    certify = false;
-    debug = false;
-    timeout = None;
-    node_limit = None;
-    step_limit = None;
-    retries = 0;
-    retry_factor = 2.0;
-    cancel;
-  }
-
-let check_to_string ?cancel compiled (name, spec) =
+let check_to_string ?(cancel = Atomic.make false) compiled (name, spec) =
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
   let r =
     Engine.check_one ppf compiled.Smv.Compile.model
-      ~opts:(engine_opts ?cancel ())
+      ~opts:Engine.default_opts ~cancel
       ~clusters:(fun () -> compiled.Smv.Compile.clusters)
       (name, spec)
   in
@@ -442,9 +419,11 @@ let test_engine_fault_is_scoped () =
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
   let r =
-    Engine.check_one ppf m ~opts:(engine_opts ())
+    Engine.check_one ppf m
+      ~opts:{ Engine.default_opts with inject = Some (Bdd.Fault.Step, 1) }
+      ~cancel:(Atomic.make false)
       ~clusters:(fun () -> compiled.Smv.Compile.clusters)
-      ~inject:(Bdd.Fault.Step, 1) spec
+      spec
   in
   (match r.Engine.verdict with
   | Engine.Undetermined _ -> ()
@@ -626,8 +605,8 @@ let daemon_cfg ?default_timeout ?default_node_limit ?max_timeout () =
   }
 
 let test_daemon_apply_defaults () =
-  let o = Protocol.default_options in
-  let get cfg o = (Daemon.apply_defaults cfg o).Protocol.timeout in
+  let o = Engine.default_opts in
+  let get cfg o = (Daemon.apply_defaults cfg o).Engine.timeout in
   Alcotest.(check (option (float 1e-9))) "no defaults: untouched" None
     (get (daemon_cfg ()) o);
   Alcotest.(check (option (float 1e-9))) "default fills the gap" (Some 5.)
@@ -636,12 +615,12 @@ let test_daemon_apply_defaults () =
     (Some 2.)
     (get
        (daemon_cfg ~default_timeout:5. ())
-       { o with Protocol.timeout = Some 2. });
+       { o with Engine.timeout = Some 2. });
   Alcotest.(check (option (float 1e-9))) "ceiling clamps the request"
     (Some 3.)
     (get
        (daemon_cfg ~max_timeout:3. ())
-       { o with Protocol.timeout = Some 60. });
+       { o with Engine.timeout = Some 60. });
   Alcotest.(check (option (float 1e-9)))
     "ceiling applies even with no request budget" (Some 3.)
     (get (daemon_cfg ~max_timeout:3. ()) o);
@@ -649,14 +628,14 @@ let test_daemon_apply_defaults () =
     (Some 1.)
     (get
        (daemon_cfg ~max_timeout:3. ())
-       { o with Protocol.timeout = Some 1. });
-  let node cfg o = (Daemon.apply_defaults cfg o).Protocol.node_limit in
+       { o with Engine.timeout = Some 1. });
+  let node cfg o = (Daemon.apply_defaults cfg o).Engine.node_limit in
   Alcotest.(check (option int)) "node default fills the gap" (Some 100)
     (node (daemon_cfg ~default_node_limit:100 ()) o);
   Alcotest.(check (option int)) "request node limit wins" (Some 7)
     (node
        (daemon_cfg ~default_node_limit:100 ())
-       { o with Protocol.node_limit = Some 7 })
+       { o with Engine.node_limit = Some 7 })
 
 let test_overload_retry_hint () =
   let ov = Overload.create ~log:ignore () in
@@ -840,8 +819,6 @@ let suite =
       test_frame_eof_mid_header;
     Alcotest.test_case "protocol: check request" `Quick
       test_protocol_parse_check;
-    Alcotest.test_case "protocol: option defaults" `Quick
-      test_protocol_defaults;
     Alcotest.test_case "protocol: malformed requests" `Quick
       test_protocol_errors;
     Alcotest.test_case "protocol: reply shapes" `Quick
