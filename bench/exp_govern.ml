@@ -55,7 +55,7 @@ let measure ~bits ~k ~rounds =
             in
             ignore
               (Bdd.Limits.with_attached m.Kripke.man limits (fun () ->
-                   Ctl.Fair.eg ~limits m m.Kripke.space))
+                   Ctl.Fair.eg m m.Kripke.space))
           end
           else ignore (Ctl.Fair.eg m m.Kripke.space))
     in
@@ -118,4 +118,4 @@ let bechamel =
          let m = Lazy.force m in
          let limits = Bdd.Limits.create ~timeout:3600.0 () in
          Bdd.Limits.with_attached m.Kripke.man limits (fun () ->
-             Ctl.Fair.eg ~limits m m.Kripke.space)))
+             Ctl.Fair.eg m m.Kripke.space)))

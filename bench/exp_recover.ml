@@ -54,7 +54,7 @@ let measure_hooks ~bits ~k ~rounds =
             Bdd.Fault.arm m.Kripke.man ~site:Bdd.Fault.Mk ~after:max_int;
           ignore
             (Bdd.Limits.with_attached m.Kripke.man limits (fun () ->
-                 Ctl.Fair.eg ~limits m m.Kripke.space));
+                 Ctl.Fair.eg m m.Kripke.space));
           Bdd.Fault.disarm m.Kripke.man)
     in
     s *. 1e9
@@ -123,7 +123,7 @@ let starved_ladder m spec ~retries ~base_budget =
         | Robust.Ladder.Main_domain ->
           ());
         Bdd.Limits.with_attached man limits (fun () ->
-            Ctl.Check.holds ~limits m spec))
+            Ctl.Check.holds m spec))
   in
   Bdd.set_cache_limit man saved;
   match result with
@@ -234,7 +234,7 @@ let bechamel =
          let limits = Bdd.Limits.create ~timeout:3600.0 () in
          let r =
            Bdd.Limits.with_attached m.Kripke.man limits (fun () ->
-               Ctl.Fair.eg ~limits m m.Kripke.space)
+               Ctl.Fair.eg m m.Kripke.space)
          in
          Bdd.Fault.disarm m.Kripke.man;
          r))

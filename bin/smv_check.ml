@@ -53,12 +53,26 @@ let install_sigint () =
     (* no signal support on this platform: run ungoverned *)
     ()
 
-let print_model_stats ?limits m =
-  let reachable = Kripke.reachable ?limits m in
-  Format.printf "model: %d state bits, %.0f states in the state space, %.0f reachable@."
+(* The reachability fixpoint runs under the per-spec budgets and the
+   SIGINT flag: on a breach the count is reported unknown and the run
+   goes on to the specifications. *)
+let print_model_stats (opts : Engine.opts) m =
+  let man = m.Kripke.man in
+  let reachable =
+    match
+      Bdd.Limits.with_attached man (Engine.mk_limits opts ~cancel:cancel_flag)
+        (fun () -> Kripke.reachable m)
+    with
+    | r -> Printf.sprintf "%.0f reachable" (Kripke.count_states m r)
+    | exception Bdd.Limits.Exhausted info ->
+      ignore (Bdd.gc man);
+      Format.asprintf "reachable count unknown (%a)" Bdd.Limits.pp_breach
+        info.Bdd.Limits.breach
+  in
+  Format.printf "model: %d state bits, %.0f states in the state space, %s@."
     m.Kripke.nbits
     (Kripke.count_states m m.Kripke.space)
-    (Kripke.count_states m reachable);
+    reachable;
   let dead = Kripke.deadlocks m in
   if not (Bdd.is_zero dead) then
     Format.printf
@@ -158,7 +172,7 @@ let run (opts : Engine.opts) ~jobs ~debug ~crash_worker ~extra_specs
   (match cache_limit with
   | Some _ as limit -> Bdd.set_cache_limit m.Kripke.man limit
   | None -> ());
-  if opts.stats then print_model_stats m;
+  if opts.stats then print_model_stats opts m;
   (match simulate with
   | Some steps -> print_simulation m ~steps ~seed
   | None -> ());

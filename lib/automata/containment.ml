@@ -40,26 +40,26 @@ let conjuncts_for (sys : 'a Streett.t) (spec : 'a Streett.t)
 
 (* Shared search loop: one restricted-class check per specification
    acceptance pair; the first satisfiable one yields the word. *)
-let search ?limits ~sys ~spec ~npairs ~conjuncts () =
-  let prod = Product.build sys spec in
+let search ?man ~sys ~spec ~npairs ~conjuncts () =
+  let prod = Product.build ?man sys spec in
   let m = prod.Product.model in
   let init_state = Product.initial_state prod in
   let rec try_pair j =
     if j >= npairs then Ok ()
     else
       let cs = conjuncts prod j in
-      let sat = Ctlstar.Gffg.check ?limits m cs in
+      let sat = Ctlstar.Gffg.check m cs in
       if not (Kripke.eval_in_state m sat init_state) then try_pair (j + 1)
       else
-        let tr = Ctlstar.Gffg.witness ?limits m cs ~start:init_state in
+        let tr = Ctlstar.Gffg.witness m cs ~start:init_state in
         Error (Product.extract_word sys spec prod tr ~spec_pair:j)
   in
   try_pair 0
 
-let contains ?limits ~sys ~spec () =
+let contains ?man ~sys ~spec () =
   check_preconditions ~sys ~spec;
   let sys = Streett.complete sys and spec = Streett.complete spec in
-  search ?limits ~sys ~spec
+  search ?man ~sys ~spec
     ~npairs:(List.length spec.Streett.accept)
     ~conjuncts:(fun prod j -> conjuncts_for sys spec prod j)
     ()

@@ -33,7 +33,7 @@ val check_preconditions : sys:'a Streett.t -> spec:'a Streett.t -> unit
     {!Rabin} checker). *)
 
 val search :
-  ?limits:Bdd.Limits.t ->
+  ?man:Bdd.man ->
   sys:'a Streett.t ->
   spec:'a Streett.t ->
   npairs:int ->
@@ -47,7 +47,7 @@ val search :
     the Streett checker here and the {!Rabin} checker. *)
 
 val contains :
-  ?limits:Bdd.Limits.t ->
+  ?man:Bdd.man ->
   sys:'a Streett.t ->
   spec:'a Streett.t ->
   unit ->
@@ -56,7 +56,8 @@ val contains :
     a counterexample word.  Both automata are completed internally
     (language-preserving); the specification must be deterministic.
     The alphabets must be equal ([Invalid_argument] otherwise).
-    [limits] is threaded through every product-model fixpoint and
+    The product model is built on [man] (default: a fresh manager), so
+    limits attached to [man] govern every product-model fixpoint and
     witness construction; a breach raises [Bdd.Limits.Exhausted]. *)
 
 val check_counterexample :

@@ -61,7 +61,7 @@ let all_subsets n =
   in
   List.filter (fun s -> s <> []) (go 1)
 
-let contains ?limits ~sys ~spec () =
+let contains ~sys ~spec () =
   Containment.check_preconditions ~sys:sys.automaton ~spec:spec.automaton;
   let sys = complete sys and spec = complete spec in
   (* Disjuncts: (system inf-set S in F_sys) x (spec subset T not in
@@ -77,7 +77,7 @@ let contains ?limits ~sys ~spec () =
       sys.family
   in
   let disjuncts = Array.of_list disjuncts in
-  Containment.search ?limits ~sys:sys.automaton ~spec:spec.automaton
+  Containment.search ~sys:sys.automaton ~spec:spec.automaton
     ~npairs:(Array.length disjuncts)
     ~conjuncts:(fun prod j ->
       let s, t = disjuncts.(j) in

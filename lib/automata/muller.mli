@@ -44,14 +44,12 @@ exception Spec_too_large of int
     states than the subset-enumeration bound (16). *)
 
 val contains :
-  ?limits:Bdd.Limits.t ->
   sys:'a t ->
   spec:'a t ->
   unit ->
   (unit, 'a Containment.counterexample) result
 (** [L(sys) ⊆ L(spec)] for a nondeterministic system and a
-    {e deterministic} specification Muller automaton.  [limits] bounds
-    the underlying product-model fixpoints. *)
+    {e deterministic} specification Muller automaton. *)
 
 val check_counterexample :
   sys:'a t -> spec:'a t -> 'a Containment.counterexample -> bool

@@ -13,8 +13,8 @@ type t = {
   spec_in : int list -> Bdd.t;
 }
 
-let build (sys : 'a Streett.t) (spec : 'a Streett.t) =
-  let b = Kripke.Builder.create () in
+let build ?man (sys : 'a Streett.t) (spec : 'a Streett.t) =
+  let b = Kripke.Builder.create ?man () in
   let sv = Kripke.Builder.range_var b "sys" 0 (sys.Streett.nstates - 1) in
   let pv = Kripke.Builder.range_var b "spec" 0 (spec.Streett.nstates - 1) in
   let bman = Kripke.Builder.man b in

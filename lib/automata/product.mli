@@ -24,9 +24,10 @@ type t = private {
   spec_in : int list -> Bdd.t;
 }
 
-val build : 'a Streett.t -> 'a Streett.t -> t
+val build : ?man:Bdd.man -> 'a Streett.t -> 'a Streett.t -> t
 (** [(s,s') -> (t,t')] iff some letter moves both automata; initial
-    state is the pair of initial states.  Acceptance conditions are
+    state is the pair of initial states.  The product lives on [man]
+    (default: a fresh manager).  Acceptance conditions are
     ignored here — the checkers encode them as CTL* class formulas over
     [sys_in]/[spec_in] sets. *)
 

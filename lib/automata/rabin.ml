@@ -52,10 +52,10 @@ let conjuncts_for (sys : 'a Streett.t) (spec : 'a Streett.t)
   in
   sys_conjuncts @ spec_conjuncts
 
-let contains ?limits ~sys ~spec () =
+let contains ~sys ~spec () =
   Containment.check_preconditions ~sys:sys.automaton ~spec:spec.automaton;
   let sys = complete sys and spec = complete spec in
-  Containment.search ?limits ~sys:sys.automaton ~spec:spec.automaton
+  Containment.search ~sys:sys.automaton ~spec:spec.automaton
     ~npairs:(List.length sys.automaton.Streett.accept)
     ~conjuncts:(fun prod i -> conjuncts_for sys.automaton spec.automaton prod i)
     ()

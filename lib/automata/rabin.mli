@@ -43,7 +43,6 @@ val accepts_lasso_det : 'a t -> prefix:int list -> cycle:int list -> bool
     indices). *)
 
 val contains :
-  ?limits:Bdd.Limits.t ->
   sys:'a t ->
   spec:'a t ->
   unit ->
@@ -51,8 +50,7 @@ val contains :
 (** [L(sys) ⊆ L(spec)] for a nondeterministic system and a
     {e deterministic} specification; [Error] carries a separating lasso
     word.  Raises {!Containment.Spec_not_deterministic} /
-    [Invalid_argument] like the Streett version.  [limits] bounds the
-    underlying product-model fixpoints. *)
+    [Invalid_argument] like the Streett version. *)
 
 val check_counterexample :
   sys:'a t -> spec:'a t -> 'a Containment.counterexample -> bool

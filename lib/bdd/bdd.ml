@@ -2033,8 +2033,6 @@ module Limits = struct
     attach m l;
     Fun.protect ~finally:(fun () -> m.limits <- previous) k
 
-  let check = limits_check_now
-
   (* The [Step] fault site lives here rather than in [fault_tick]: a
      tripped deadline is a [Limits] breach, not an allocation failure,
      so it must funnel through [limits_breach] to carry the usual stats
@@ -2055,18 +2053,28 @@ module Limits = struct
       end
     | Some _ | None -> ()
 
-  let step m l =
-    fault_step_tick m l;
-    l.l_steps <- l.l_steps + 1;
-    l.l_iterations <- l.l_iterations + 1;
-    limits_check_now m l
+  (* The charges below go to whichever bundle is attached to [m]; with
+     none attached they are no-ops, so ungoverned code pays one field
+     load per fixpoint iteration. *)
+  let step m =
+    match m.limits with
+    | None -> ()
+    | Some l ->
+      fault_step_tick m l;
+      l.l_steps <- l.l_steps + 1;
+      l.l_iterations <- l.l_iterations + 1;
+      limits_check_now m l
 
-  let ring_step m l =
-    l.l_steps <- l.l_steps + 1;
-    l.l_rings <- l.l_rings + 1;
-    limits_check_now m l
+  let ring_step m =
+    match m.limits with
+    | None -> ()
+    | Some l ->
+      l.l_steps <- l.l_steps + 1;
+      l.l_rings <- l.l_rings + 1;
+      limits_check_now m l
 
-  let note_witness l states = l.l_witness <- states
+  let note_witness m states =
+    match m.limits with None -> () | Some l -> l.l_witness <- states
 
   let pp_breach ppf = function
     | Deadline { timeout; elapsed } ->

@@ -542,24 +542,28 @@ module Limits : sig
   val with_attached : man -> t -> (unit -> 'a) -> 'a
   (** [with_attached m l k] runs [k] with [l] attached, restoring the
       previously attached limits (if any) on exit — normal or
-      exceptional. *)
+      exceptional.  This is the only way to govern a computation: no
+      checking, witness or certification entry point takes a budget
+      argument.  Governed code is whatever runs inside [k] on [m] —
+      its BDD operations poll [l], and its fixpoint iterations and
+      ring-descent segments charge [l]'s step budget through {!step}
+      and {!ring_step}.  Limits never change a result, only whether
+      the computation is allowed to finish. *)
 
-  val check : man -> t -> unit
-  (** Check every budget right now; raises {!Exhausted} on a breach.
-      The explicit form of the poll the hot loops run implicitly. *)
+  val step : man -> unit
+  (** Charge one fixpoint iteration against the step budget of the
+      bundle attached to the manager, then check every budget (raising
+      {!Exhausted} on a breach); a no-op when none is attached.  Called
+      by the [Ctl] / [Kripke] / [Ctlstar] fixpoint loops once per
+      iteration. *)
 
-  val step : man -> t -> unit
-  (** Charge one fixpoint iteration against the step budget, then
-      {!check}.  Called by the [Ctl] / [Kripke] / [Ctlstar] fixpoint
-      loops once per iteration. *)
+  val ring_step : man -> unit
+  (** Like {!step}, for one ring-descent segment.  Called by
+      [Counterex.Witness] while walking rings. *)
 
-  val ring_step : man -> t -> unit
-  (** Charge one ring-descent segment against the step budget, then
-      {!check}.  Called by [Counterex.Witness] while walking rings. *)
-
-  val note_witness : t -> bool array list -> unit
-  (** Record the best-so-far witness path so a later breach reports it
-      in {!progress}. *)
+  val note_witness : man -> bool array list -> unit
+  (** Record the best-so-far witness path in the attached bundle (if
+      any) so a later breach reports it in {!progress}. *)
 
   val progress : t -> progress
   (** Snapshot the progress counters (also available without a breach). *)
@@ -586,8 +590,9 @@ end
     fire — the same exception genuine allocation pressure at that site
     would surface, so recovery code cannot distinguish injected from
     real faults.  Site [Step] instead trips the attached deadline: the
-    Nth {!Limits.step} raises {!Limits.Exhausted} with a [Deadline]
-    breach carrying the usual stats snapshot and partial progress. *)
+    Nth {!Limits.step} made while a bundle is attached raises
+    {!Limits.Exhausted} with a [Deadline] breach carrying the usual
+    stats snapshot and partial progress. *)
 
 module Fault : sig
   type site =

@@ -20,7 +20,6 @@
 exception Cannot_explain of string
 
 val explain :
-  ?limits:Bdd.Limits.t ->
   ?engine:Ctl.Fair.engine ->
   Kripke.t -> Ctl.t -> start:Kripke.state -> Kripke.Trace.t
 (** [explain m f ~start] — a trace demonstrating [f] at [start]; the
@@ -28,18 +27,17 @@ val explain :
     {!Cannot_explain} otherwise).  The trace is finite when no temporal
     continuation is required (purely propositional facts, [EU] into a
     propositional target), and a lasso when an [EG] is involved.
-    [limits] is threaded to every fixpoint and ring descent involved; a
-    breach raises [Bdd.Limits.Exhausted]. *)
+    Every fixpoint and ring descent involved charges the limits
+    attached to the model's manager; a breach raises
+    [Bdd.Limits.Exhausted]. *)
 
 val witness :
-  ?limits:Bdd.Limits.t ->
   ?engine:Ctl.Fair.engine ->
   Kripke.t -> Ctl.t -> Kripke.Trace.t option
 (** A trace from some initial state demonstrating the (existential)
     formula; [None] when no initial state satisfies it. *)
 
 val counterexample :
-  ?limits:Bdd.Limits.t ->
   ?engine:Ctl.Fair.engine ->
   Kripke.t -> Ctl.t -> Kripke.Trace.t option
 (** A trace from some initial state demonstrating the *negation* of the

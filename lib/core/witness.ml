@@ -16,17 +16,6 @@ exception
 
 let in_set m set st = Kripke.eval_in_state m set st
 
-(* Charge one ring-descent segment against the optional resource
-   limits (shared by every descent below). *)
-let ring_tick (m : Kripke.t) = function
-  | None -> ()
-  | Some l -> Bdd.Limits.ring_step m.Kripke.man l
-
-let note_progress limits prefix_rev =
-  match limits with
-  | None -> ()
-  | Some l -> Bdd.Limits.note_witness l (List.rev prefix_rev)
-
 let succ_set m st = Kripke.post m (Kripke.state_to_bdd m st)
 
 let pick m set =
@@ -55,11 +44,11 @@ let min_layer m ?limit (layers : Bdd.t array) set =
    strictly-descending scan is expressed as an index bound on
    [min_layer] — copying a ring-array prefix per step ([Array.sub])
    would make each descent quadratic in the ring count. *)
-let descend ?limits m layers ~start ~level:j0 =
+let descend m layers ~start ~level:j0 =
   let rec go acc st j =
     if j = 0 then List.rev acc
     else begin
-      ring_tick m limits;
+      Bdd.Limits.ring_step m.Kripke.man;
       match min_layer m ~limit:j layers (succ_set m st) with
       | Some (j', next) -> go (next :: acc) next j'
       | None -> raise (No_witness "internal: ring descent stuck")
@@ -78,20 +67,20 @@ let level_of m layers st =
 (* ------------------------------------------------------------------ *)
 (* EX and EU (no fairness).                                            *)
 
-let ex ?limits m ~f ~start =
+let ex m ~f ~start =
   let bman = m.Kripke.man in
-  ring_tick m limits;
+  Bdd.Limits.ring_step m.Kripke.man;
   let target = Bdd.and_ bman (succ_set m start) f in
   match Kripke.pick_state m target with
   | Some next -> Kripke.Trace.finite [ start; next ]
   | None -> raise (No_witness "EX: start state has no successor in f")
 
-let eu ?limits m ~f ~g ~start =
-  let rings = Ctl.Check.eu_rings ?limits m f g in
+let eu m ~f ~g ~start =
+  let rings = Ctl.Check.eu_rings m f g in
   match level_of m rings start with
   | None -> raise (No_witness "EU: start state does not satisfy E[f U g]")
   | Some j ->
-    Kripke.Trace.finite (start :: descend ?limits m rings ~start ~level:j)
+    Kripke.Trace.finite (start :: descend m rings ~start ~level:j)
 
 (* ------------------------------------------------------------------ *)
 (* Fair EG: the algorithm of Section 6.                                *)
@@ -107,7 +96,7 @@ type round_outcome =
       (** round states walked before giving up; restart at their last
           (or at [s] if empty — impossible, rounds always move) *)
 
-let run_round ?limits m ~strategy ~f ~egf ~(rings : Ctl.Fair.rings list) s =
+let run_round m ~strategy ~f ~egf ~(rings : Ctl.Fair.rings list) s =
   let exception Early_exit of Kripke.state list in
   (* Precompute strategy: set once [t] is known. *)
   let reach_t = ref None in
@@ -118,7 +107,7 @@ let run_round ?limits m ~strategy ~f ~egf ~(rings : Ctl.Fair.rings list) s =
     st :: acc
   in
   let visit_constraint (acc, current) (r : Ctl.Fair.rings) =
-    ring_tick m limits;
+    Bdd.Limits.ring_step m.Kripke.man;
     match min_layer m r.Ctl.Fair.layers (succ_set m current) with
     | None -> raise (No_witness "EG: no fairness constraint reachable")
     | Some (j, first) ->
@@ -126,9 +115,9 @@ let run_round ?limits m ~strategy ~f ~egf ~(rings : Ctl.Fair.rings list) s =
       (match (!reach_t, strategy) with
       | None, Precompute ->
         reach_t :=
-          Some (Ctl.Check.eu ?limits m egf (Kripke.state_to_bdd m first))
+          Some (Ctl.Check.eu m egf (Kripke.state_to_bdd m first))
       | None, Restart | Some _, (Restart | Precompute) -> ());
-      let rest = descend ?limits m r.Ctl.Fair.layers ~start:first ~level:j in
+      let rest = descend m r.Ctl.Fair.layers ~start:first ~level:j in
       let acc = List.fold_left emit acc rest in
       let current = match acc with st :: _ -> st | [] -> assert false in
       (acc, current)
@@ -173,17 +162,17 @@ let run_round ?limits m ~strategy ~f ~egf ~(rings : Ctl.Fair.rings list) s =
     (* Close the cycle: a non-trivial path s' -> t through f-states:
        {s'} /\ EX E[f U {t}]. *)
     let t_set = Kripke.state_to_bdd m t in
-    let closing_rings = Ctl.Check.eu_rings ?limits m f t_set in
+    let closing_rings = Ctl.Check.eu_rings m f t_set in
     (match min_layer m closing_rings (succ_set m s') with
     | Some (j, u) ->
-      let closing = u :: descend ?limits m closing_rings ~start:u ~level:j in
+      let closing = u :: descend m closing_rings ~start:u ~level:j in
       Closed (round_states, closing)
     | None -> Failed round_states)
 
-let eg_stats ?limits ?engine ?(strategy = Restart) ?(max_restarts = 1_000_000)
+let eg_stats ?engine ?(strategy = Restart) ?(max_restarts = 1_000_000)
     m ~f ~start =
   let f = Bdd.and_ m.Kripke.man f m.Kripke.space in
-  let egf, rings = Ctl.Fair.eg_with_rings ?limits ?engine m f in
+  let egf, rings = Ctl.Fair.eg_with_rings ?engine m f in
   if not (in_set m egf start) then
     raise (No_witness "EG: start state does not satisfy fair EG f");
   (* Each failed round strictly descends the DAG of strongly connected
@@ -196,8 +185,8 @@ let eg_stats ?limits ?engine ?(strategy = Restart) ?(max_restarts = 1_000_000)
       raise
         (Restart_bound_exceeded
            { restarts; rounds = restarts; prefix = List.rev prefix_rev });
-    note_progress limits prefix_rev;
-    match run_round ?limits m ~strategy ~f ~egf ~rings s with
+    Bdd.Limits.note_witness m.Kripke.man (List.rev prefix_rev);
+    match run_round m ~strategy ~f ~egf ~rings s with
     | Closed (round_states, closing) ->
       let prefix = List.rev prefix_rev in
       (* closing = u .. t ; drop the final t (it opens the cycle). *)
@@ -218,27 +207,26 @@ let eg_stats ?limits ?engine ?(strategy = Restart) ?(max_restarts = 1_000_000)
   in
   loop [ start ] start 0
 
-let eg ?limits ?engine ?strategy m ~f ~start =
-  fst (eg_stats ?limits ?engine ?strategy m ~f ~start)
+let eg ?engine ?strategy m ~f ~start =
+  fst (eg_stats ?engine ?strategy m ~f ~start)
 
 (* ------------------------------------------------------------------ *)
 (* Fair EX / EU: reduce to the unfair operator against [g /\ fair] and
    extend to an infinite fair path with an [EG true] witness.          *)
 
-let extend_fair ?limits ?engine m trace =
+let extend_fair ?engine m trace =
   match List.rev (Kripke.Trace.states trace) with
   | [] -> raise (No_witness "internal: empty trace")
   | last :: _ ->
-    let tail = eg ?limits ?engine m ~f:m.Kripke.space ~start:last in
+    let tail = eg ?engine m ~f:m.Kripke.space ~start:last in
     Kripke.Trace.append trace tail
 
-let ex_fair ?limits ?engine m ~f ~start =
+let ex_fair ?engine m ~f ~start =
   let bman = m.Kripke.man in
-  let fair = Ctl.Fair.fair_states ?limits ?engine m in
-  extend_fair ?limits ?engine m (ex ?limits m ~f:(Bdd.and_ bman f fair) ~start)
+  let fair = Ctl.Fair.fair_states ?engine m in
+  extend_fair ?engine m (ex m ~f:(Bdd.and_ bman f fair) ~start)
 
-let eu_fair ?limits ?engine m ~f ~g ~start =
+let eu_fair ?engine m ~f ~g ~start =
   let bman = m.Kripke.man in
-  let fair = Ctl.Fair.fair_states ?limits ?engine m in
-  extend_fair ?limits ?engine m
-    (eu ?limits m ~f ~g:(Bdd.and_ bman g fair) ~start)
+  let fair = Ctl.Fair.fair_states ?engine m in
+  extend_fair ?engine m (eu m ~f ~g:(Bdd.and_ bman g fair) ~start)

@@ -42,25 +42,19 @@ exception
     restart bound, preserving the work done so far for diagnosis
     (unlike {!No_witness}, which reports contract violations). *)
 
-val ex :
-  ?limits:Bdd.Limits.t ->
-  Kripke.t -> f:Bdd.t -> start:Kripke.state -> Kripke.Trace.t
+val ex : Kripke.t -> f:Bdd.t -> start:Kripke.state -> Kripke.Trace.t
 (** Two-state witness for [EX f] (no fairness): [start] followed by a
-    successor in [f].  Every function below accepts [?limits]: each
-    ring-descent segment charges one step against the budget (raising
-    [Bdd.Limits.Exhausted] on a breach), and the fair-[EG] construction
+    successor in [f].  Under limits attached to the model's manager
+    (see [Bdd.Limits.with_attached]), every function below charges one
+    step per ring-descent segment, and the fair-[EG] construction
     records its best-so-far path prefix in the limits' progress so a
-    breach still reports partial work.  Limits never change the
-    witness, only whether the construction is allowed to finish. *)
+    breach still reports partial work. *)
 
-val eu :
-  ?limits:Bdd.Limits.t ->
-  Kripke.t -> f:Bdd.t -> g:Bdd.t -> start:Kripke.state -> Kripke.Trace.t
+val eu : Kripke.t -> f:Bdd.t -> g:Bdd.t -> start:Kripke.state -> Kripke.Trace.t
 (** Finite witness for [E[f U g]] (no fairness): a shortest-via-rings
     path from [start] through [f]-states to a [g]-state. *)
 
 val eg :
-  ?limits:Bdd.Limits.t ->
   ?engine:Ctl.Fair.engine ->
   ?strategy:strategy ->
   Kripke.t -> f:Bdd.t -> start:Kripke.state -> Kripke.Trace.t
@@ -72,7 +66,6 @@ val eg :
     byte-identical under either. *)
 
 val eg_stats :
-  ?limits:Bdd.Limits.t ->
   ?engine:Ctl.Fair.engine ->
   ?strategy:strategy ->
   ?max_restarts:int ->
@@ -88,14 +81,12 @@ val eg_stats :
     collected prefix and counts. *)
 
 val ex_fair :
-  ?limits:Bdd.Limits.t ->
   ?engine:Ctl.Fair.engine ->
   Kripke.t -> f:Bdd.t -> start:Kripke.state -> Kripke.Trace.t
 (** Witness for [EX f] under fairness: a step into [f /\ fair],
     extended to an infinite fair path by an [EG true] witness. *)
 
 val eu_fair :
-  ?limits:Bdd.Limits.t ->
   ?engine:Ctl.Fair.engine ->
   Kripke.t -> f:Bdd.t -> g:Bdd.t -> start:Kripke.state -> Kripke.Trace.t
 (** Witness for [E[f U g]] under fairness: a finite prefix to

@@ -27,20 +27,14 @@ let reset_fixpoint_stats () =
   Atomic.set eg_iters 0;
   Atomic.set rings_built 0
 
-(* Charge one fixpoint iteration against the optional resource limits
-   (shared by every fixpoint loop below).  Also a reorder checkpoint:
-   every loop roots its frontier, so a pending auto-reorder may run
-   here safely — and only does when the driver opted the region in via
-   [Bdd.Reorder.with_checkpoints]. *)
-let tick (m : Kripke.t) limits =
-  Bdd.Reorder.checkpoint m.Kripke.man;
-  match limits with
-  | None -> ()
-  | Some l -> Bdd.Limits.step m.Kripke.man l
-
 let ex (m : Kripke.t) s = Kripke.pre m s
 
-let eu ?limits (m : Kripke.t) f g =
+(* Every fixpoint iteration below charges one step against the limits
+   attached to the manager, and offers a reorder checkpoint: every loop
+   roots its frontier, so a pending auto-reorder may run there safely —
+   and only does when the caller opted the region in via
+   [Bdd.Reorder.with_checkpoints]. *)
+let eu (m : Kripke.t) f g =
   let bman = m.Kripke.man in
   let frontier = ref g in
   Bdd.with_root bman
@@ -48,7 +42,8 @@ let eu ?limits (m : Kripke.t) f g =
     (fun () ->
       let rec go q =
         Atomic.incr eu_iters;
-        tick m limits;
+        Bdd.Reorder.checkpoint bman;
+        Bdd.Limits.step bman;
         let q' = Bdd.or_ bman q (Bdd.and_ bman f (ex m q)) in
         if Bdd.equal q q' then q
         else begin
@@ -58,7 +53,7 @@ let eu ?limits (m : Kripke.t) f g =
       in
       go g)
 
-let eu_rings ?limits (m : Kripke.t) f g =
+let eu_rings (m : Kripke.t) f g =
   let bman = m.Kripke.man in
   let layers = ref [ g ] in
   Bdd.with_root bman
@@ -66,7 +61,8 @@ let eu_rings ?limits (m : Kripke.t) f g =
     (fun () ->
       let rec go acc q =
         Atomic.incr eu_iters;
-        tick m limits;
+        Bdd.Reorder.checkpoint bman;
+        Bdd.Limits.step bman;
         let q' = Bdd.or_ bman q (Bdd.and_ bman f (ex m q)) in
         if Bdd.equal q q' then List.rev acc
         else begin
@@ -78,7 +74,7 @@ let eu_rings ?limits (m : Kripke.t) f g =
       ignore (Atomic.fetch_and_add rings_built (Array.length rings) : int);
       rings)
 
-let eg ?limits (m : Kripke.t) f =
+let eg (m : Kripke.t) f =
   let bman = m.Kripke.man in
   let frontier = ref f in
   Bdd.with_root bman
@@ -86,7 +82,8 @@ let eg ?limits (m : Kripke.t) f =
     (fun () ->
       let rec go z =
         Atomic.incr eg_iters;
-        tick m limits;
+        Bdd.Reorder.checkpoint bman;
+        Bdd.Limits.step bman;
         let z' = Bdd.and_ bman z (Bdd.and_ bman f (ex m z)) in
         if Bdd.equal z z' then z
         else begin
@@ -144,8 +141,6 @@ let sat_with ~ex ~eu ~eg (m : Kripke.t) formula =
       in
       go (Syntax.enf formula))
 
-let sat ?limits m formula =
-  sat_with ~ex ~eu:(eu ?limits) ~eg:(eg ?limits) m formula
+let sat m formula = sat_with ~ex ~eu ~eg m formula
 
-let holds ?limits m formula =
-  Bdd.subset m.Kripke.man m.Kripke.init (sat ?limits m formula)
+let holds m formula = Bdd.subset m.Kripke.man m.Kripke.init (sat m formula)

@@ -22,23 +22,22 @@ val fixpoint_stats : unit -> fixpoint_stats
 val reset_fixpoint_stats : unit -> unit
 (** Zero the counters. *)
 
-val sat : ?limits:Bdd.Limits.t -> Kripke.t -> Syntax.t -> Bdd.t
+val sat : Kripke.t -> Syntax.t -> Bdd.t
 (** [sat m f] — the set of states of [m] satisfying [f] (the [Check]
-    procedure of Section 4).  Every fixpoint below accepts [?limits]:
-    each iteration charges one step against the budget (raising
-    [Bdd.Limits.Exhausted] on a breach); limits never change results,
-    only whether the computation is allowed to finish. *)
+    procedure of Section 4).  Every fixpoint iteration below charges
+    one step to the limits attached to the model's manager (see
+    [Bdd.Limits.with_attached]). *)
 
-val holds : ?limits:Bdd.Limits.t -> Kripke.t -> Syntax.t -> bool
+val holds : Kripke.t -> Syntax.t -> bool
 (** Does every initial state satisfy the formula? *)
 
 val ex : Kripke.t -> Bdd.t -> Bdd.t
 (** [CheckEX]: states with a successor in the argument set. *)
 
-val eu : ?limits:Bdd.Limits.t -> Kripke.t -> Bdd.t -> Bdd.t -> Bdd.t
+val eu : Kripke.t -> Bdd.t -> Bdd.t -> Bdd.t
 (** [CheckEU f g]: least fixpoint [lfp Z. g \/ (f /\ EX Z)]. *)
 
-val eg : ?limits:Bdd.Limits.t -> Kripke.t -> Bdd.t -> Bdd.t
+val eg : Kripke.t -> Bdd.t -> Bdd.t
 (** [CheckEG f]: greatest fixpoint [gfp Z. f /\ EX Z]. *)
 
 val sat_with :
@@ -51,7 +50,7 @@ val sat_with :
 (** Generic traversal with the three basic operators supplied; the fair
     checker instantiates it with [CheckFairEX/EU/EG] (Section 5). *)
 
-val eu_rings : ?limits:Bdd.Limits.t -> Kripke.t -> Bdd.t -> Bdd.t -> Bdd.t array
+val eu_rings : Kripke.t -> Bdd.t -> Bdd.t -> Bdd.t array
 (** The increasing approximation sequence [Q_0 = g, Q_{i+1} = Q_i \/ (f
     /\ EX Q_i)] up to (and including) the fixpoint — the "onion rings"
     that witness construction walks down.  [Q_i] is the set of states

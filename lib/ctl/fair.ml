@@ -59,17 +59,17 @@ let constraints (m : Kripke.t) =
    [scratch] roots the fold's running conjunction and [z] across the
    nested EU sweeps, whose reorder checkpoints reclaim unrooted
    diagrams. *)
-let eg_step ?limits m f hs ~scratch z =
+let eg_step m f hs ~scratch z =
   let bman = m.Kripke.man in
   List.fold_left
     (fun acc h ->
       scratch := [ acc; z ];
       let target = Bdd.and_ bman z h in
-      let reach = Check.eu ?limits m f target in
+      let reach = Check.eu m f target in
       Bdd.and_ bman acc (Check.ex m reach))
     f hs
 
-let eg_el ?limits (m : Kripke.t) f =
+let eg_el (m : Kripke.t) f =
   let bman = m.Kripke.man in
   let hs = constraints m in
   let f = Bdd.and_ bman f m.Kripke.space in
@@ -81,10 +81,8 @@ let eg_el ?limits (m : Kripke.t) f =
       let rec go z =
         Atomic.incr outer_iters;
         Bdd.Reorder.checkpoint bman;
-        (match limits with
-        | Some l -> Bdd.Limits.step bman l
-        | None -> ());
-        let z' = eg_step ?limits m f hs ~scratch z in
+        Bdd.Limits.step bman;
+        let z' = eg_step m f hs ~scratch z in
         if Bdd.equal z z' then z
         else begin
           frontier := z';
@@ -93,10 +91,10 @@ let eg_el ?limits (m : Kripke.t) f =
       in
       go f)
 
-let eg ?limits ?(engine = El) m f =
+let eg ?(engine = El) m f =
   match engine with
-  | El -> eg_el ?limits m f
-  | Lockstep -> Lockstep.eg ?limits m f
+  | El -> eg_el m f
+  | Lockstep -> Lockstep.eg m f
 
 (* Ring extraction is engine-independent by design: whichever engine
    converged the fair-EG hull [z], the onion rings are the cheap
@@ -104,16 +102,16 @@ let eg ?limits ?(engine = El) m f =
    against [z] — so [Counterex.Witness] and [--certify] never see the
    engine, and lock-step witnesses are byte-identical to Emerson-Lei
    ones. *)
-let eg_with_rings ?limits ?engine (m : Kripke.t) f =
+let eg_with_rings ?engine (m : Kripke.t) f =
   let bman = m.Kripke.man in
-  let z = eg ?limits ?engine m f in
+  let z = eg ?engine m f in
   let f = Bdd.and_ bman f m.Kripke.space in
   let saved = ref [ z; f ] in
   Bdd.with_root bman
     (fun () -> !saved)
     (fun () ->
       let ring h =
-        let layers = Check.eu_rings ?limits m f (Bdd.and_ bman z h) in
+        let layers = Check.eu_rings m f (Bdd.and_ bman z h) in
         ignore (Atomic.fetch_and_add rings_saved (Array.length layers) : int);
         saved := Array.to_list layers @ !saved;
         { constr = h; layers }
@@ -129,32 +127,25 @@ let eg_with_rings ?limits ?engine (m : Kripke.t) f =
    both engines compute the same set, but a stale tag would let a
    warm server silently serve engine A's diagram while reporting
    engine B's stats, so a mismatch recomputes (and retags). *)
-let fair_states ?limits ?(engine = El) (m : Kripke.t) =
+let fair_states ?(engine = El) (m : Kripke.t) =
   let tag = engine_name engine in
   match Kripke.fair_memo m with
   | Some (z, t) when String.equal t tag -> z
   | Some _ | None ->
-    let z = eg ?limits ~engine m m.Kripke.space in
+    let z = eg ~engine m m.Kripke.space in
     Kripke.set_fair_memo m (Some (z, tag));
     z
 
 let ex_with ~fair m f = Check.ex m (Bdd.and_ m.Kripke.man f fair)
 
-let eu_with ?limits ~fair m f g =
-  Check.eu ?limits m f (Bdd.and_ m.Kripke.man g fair)
+let eu_with ~fair m f g = Check.eu m f (Bdd.and_ m.Kripke.man g fair)
+let ex ?engine m f = ex_with ~fair:(fair_states ?engine m) m f
+let eu ?engine m f g = eu_with ~fair:(fair_states ?engine m) m f g
 
-let ex ?limits ?engine m f =
-  ex_with ~fair:(fair_states ?limits ?engine m) m f
-
-let eu ?limits ?engine m f g =
-  eu_with ?limits ~fair:(fair_states ?limits ?engine m) m f g
-
-let sat ?limits ?engine m formula =
-  let fair = fair_states ?limits ?engine m in
-  Check.sat_with ~ex:(fun m f -> ex_with ~fair m f)
-    ~eu:(fun m f g -> eu_with ?limits ~fair m f g)
-    ~eg:(fun m f -> eg ?limits ?engine m f)
+let sat ?engine m formula =
+  let fair = fair_states ?engine m in
+  Check.sat_with ~ex:(ex_with ~fair) ~eu:(eu_with ~fair) ~eg:(eg ?engine)
     m formula
 
-let holds ?limits ?engine m formula =
-  Bdd.subset m.Kripke.man m.Kripke.init (sat ?limits ?engine m formula)
+let holds ?engine m formula =
+  Bdd.subset m.Kripke.man m.Kripke.init (sat ?engine m formula)

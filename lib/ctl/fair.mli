@@ -63,42 +63,34 @@ val constraints : Kripke.t -> Bdd.t list
 (** The effective fairness constraints: the model's list, or [[true]]
     when it is empty. *)
 
-val eg : ?limits:Bdd.Limits.t -> ?engine:engine -> Kripke.t -> Bdd.t -> Bdd.t
+val eg : ?engine:engine -> Kripke.t -> Bdd.t -> Bdd.t
 (** [CheckFairEG] — with [El] (the default) the greatest fixpoint
     [gfp Z. f /\ /\_k EX (E[f U (Z /\ h_k)])], with [Lockstep] the
-    equivalent [E[f U hull]] over the lock-step SCC hull.  Every
-    function below accepts [?limits]: outer iterations (resp. lock-step
-    rounds) and nested fixpoint iterations each charge one step against
-    the budget (raising [Bdd.Limits.Exhausted] on a breach); limits
-    never change results, only whether the computation is allowed to
-    finish. *)
+    equivalent [E[f U hull]] over the lock-step SCC hull.  Outer
+    iterations (resp. lock-step rounds) and nested fixpoint iterations
+    each charge one step to the limits attached to the model's manager
+    (see [Bdd.Limits.with_attached]). *)
 
-val eg_with_rings :
-  ?limits:Bdd.Limits.t ->
-  ?engine:engine ->
-  Kripke.t ->
-  Bdd.t ->
-  Bdd.t * rings list
+val eg_with_rings : ?engine:engine -> Kripke.t -> Bdd.t -> Bdd.t * rings list
 (** Fair [EG] together with the ring sequences, one per effective
     constraint.  The rings are extracted by engine-independent code
     from the converged fixpoint ([Check.eu_rings] against [Z /\ h_k]),
     so both engines yield byte-identical rings — and hence witnesses. *)
 
-val fair_states : ?limits:Bdd.Limits.t -> ?engine:engine -> Kripke.t -> Bdd.t
+val fair_states : ?engine:engine -> Kripke.t -> Bdd.t
 (** [fair = CheckFairEG true]: states at the start of some fair path.
     Memoised on the model ([Kripke.fair_memo]) together with the
     producing engine's name; a call under the other engine recomputes
     and retags rather than silently reusing the cached diagram. *)
 
-val ex : ?limits:Bdd.Limits.t -> ?engine:engine -> Kripke.t -> Bdd.t -> Bdd.t
+val ex : ?engine:engine -> Kripke.t -> Bdd.t -> Bdd.t
 (** [CheckFairEX f = CheckEX (f /\ fair)]. *)
 
-val eu :
-  ?limits:Bdd.Limits.t -> ?engine:engine -> Kripke.t -> Bdd.t -> Bdd.t -> Bdd.t
+val eu : ?engine:engine -> Kripke.t -> Bdd.t -> Bdd.t -> Bdd.t
 (** [CheckFairEU f g = CheckEU f (g /\ fair)]. *)
 
-val sat : ?limits:Bdd.Limits.t -> ?engine:engine -> Kripke.t -> Syntax.t -> Bdd.t
+val sat : ?engine:engine -> Kripke.t -> Syntax.t -> Bdd.t
 (** Full CTL over fair paths ([CheckFair]). *)
 
-val holds : ?limits:Bdd.Limits.t -> ?engine:engine -> Kripke.t -> Syntax.t -> bool
+val holds : ?engine:engine -> Kripke.t -> Syntax.t -> bool
 (** Does every initial state satisfy the formula over fair paths? *)

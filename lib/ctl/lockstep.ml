@@ -57,7 +57,7 @@ let constraints (m : Kripke.t) =
   | [] -> [ m.Kripke.space ]
   | hs -> hs
 
-let eg ?limits (m : Kripke.t) f =
+let eg (m : Kripke.t) f =
   let bman = m.Kripke.man in
   let hs = constraints m in
   let f = Bdd.and_ bman f m.Kripke.space in
@@ -77,12 +77,11 @@ let eg ?limits (m : Kripke.t) f =
     (fun () ->
       (* Same funnel discipline as the Emerson-Lei loop: every round
          offers the manager a reorder checkpoint (where [--inject]
-         faults also fire) and charges one step against the budget. *)
+         faults also fire) and charges one step against the attached
+         budget. *)
       let poll () =
         Bdd.Reorder.checkpoint bman;
-        match limits with
-        | Some l -> Bdd.Limits.step bman l
-        | None -> ()
+        Bdd.Limits.step bman
       in
       let round () =
         Atomic.incr rounds_c;
@@ -204,4 +203,4 @@ let eg ?limits (m : Kripke.t) f =
           drain ()
       in
       drain ();
-      if Bdd.is_zero !hull then zero else Check.eu ?limits m f !hull)
+      if Bdd.is_zero !hull then zero else Check.eu m f !hull)

@@ -19,11 +19,11 @@ val stats : unit -> stats
 val reset_stats : unit -> unit
 (** Zero the counters. *)
 
-val eg : ?limits:Bdd.Limits.t -> Kripke.t -> Bdd.t -> Bdd.t
+val eg : Kripke.t -> Bdd.t -> Bdd.t
 (** Fair [EG f] as [E[f U hull]] where [hull] is the union of the
     nontrivial SCCs of the [f]-subgraph intersecting every fairness
     constraint.  Returns the same set — hence, BDDs being canonical,
     the same diagram — as [Fair.eg]'s Emerson-Lei fixpoint.  Each
     lock-step round polls [Bdd.Reorder.checkpoint] and charges one
-    [?limits] step, the same funnel discipline as the classical
-    engine. *)
+    step to the attached limits, the same funnel discipline as the
+    classical engine. *)

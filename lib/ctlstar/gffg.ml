@@ -6,29 +6,26 @@ type conjunct = {
 type resolution = Took_gf | Took_fg
 
 (* gfp Y [ /\_j ((q_j /\ EX Y) \/ EX E[Y U (p_j /\ Y)]) ] *)
-let core ?limits (m : Kripke.t) cs =
+let core (m : Kripke.t) cs =
   let bman = m.Kripke.man in
   let step y =
     List.fold_left
       (fun acc c ->
         let fg_term = Bdd.and_ bman c.fg (Ctl.Check.ex m y) in
         let gf_term =
-          Ctl.Check.ex m (Ctl.Check.eu ?limits m y (Bdd.and_ bman c.gf y))
+          Ctl.Check.ex m (Ctl.Check.eu m y (Bdd.and_ bman c.gf y))
         in
         Bdd.and_ bman acc (Bdd.or_ bman fg_term gf_term))
       m.Kripke.space cs
   in
   let rec go y =
-    (match limits with
-    | Some l -> Bdd.Limits.step bman l
-    | None -> ());
+    Bdd.Limits.step bman;
     let y' = Bdd.and_ bman y (step y) in
     if Bdd.equal y y' then y else go y'
   in
   go m.Kripke.space
 
-let check ?limits m cs =
-  Ctl.Check.eu ?limits m m.Kripke.space (core ?limits m cs)
+let check m cs = Ctl.Check.eu m m.Kripke.space (core m cs)
 
 (* Push path negations down to state formulas so that classification
    sees the GF/FG shapes. *)
@@ -55,7 +52,7 @@ and neg_path = function
       (Syntax.Unsupported
          (Format.asprintf "cannot negate an until: %a" Syntax.pp_path p))
 
-let rec check_state ?limits (m : Kripke.t) formula =
+let rec check_state (m : Kripke.t) formula =
   let bman = m.Kripke.man in
   let space = m.Kripke.space in
   match formula with
@@ -66,38 +63,38 @@ let rec check_state ?limits (m : Kripke.t) formula =
     | set -> Bdd.and_ bman set space
     | exception Not_found -> raise (Ctl.Check.Unknown_atom name))
   | Syntax.Pred set -> Bdd.and_ bman set space
-  | Syntax.Not f -> Bdd.diff bman space (check_state ?limits m f)
+  | Syntax.Not f -> Bdd.diff bman space (check_state m f)
   | Syntax.And (a, b) ->
-    Bdd.and_ bman (check_state ?limits m a) (check_state ?limits m b)
+    Bdd.and_ bman (check_state m a) (check_state m b)
   | Syntax.Or (a, b) ->
-    Bdd.or_ bman (check_state ?limits m a) (check_state ?limits m b)
-  | Syntax.E p -> check_exists ?limits m p
+    Bdd.or_ bman (check_state m a) (check_state m b)
+  | Syntax.E p -> check_exists m p
   | Syntax.A p ->
-    Bdd.diff bman space (check_exists ?limits m (Syntax.PNot p))
+    Bdd.diff bman space (check_exists m (Syntax.PNot p))
 
-and check_exists ?limits m p =
+and check_exists m p =
   let bman = m.Kripke.man in
   let disjuncts = Syntax.classify (push_path p) in
   let eval_conjunct (c : Syntax.conjunct) =
     let eval_opt = function
       | None -> Bdd.zero bman
-      | Some s -> check_state ?limits m s
+      | Some s -> check_state m s
     in
     { gf = eval_opt c.Syntax.gf_part; fg = eval_opt c.Syntax.fg_part }
   in
   Bdd.disj bman
     (List.map
-       (fun cs -> check ?limits m (List.map eval_conjunct cs))
+       (fun cs -> check m (List.map eval_conjunct cs))
        disjuncts)
 
-let holds ?limits m formula =
-  Bdd.subset m.Kripke.man m.Kripke.init (check_state ?limits m formula)
+let holds m formula =
+  Bdd.subset m.Kripke.man m.Kripke.init (check_state m formula)
 
 (* ------------------------------------------------------------------ *)
 (* Witnesses: resolve each disjunction, reduce to fair EG.             *)
 
-let resolve ?limits m cs ~start =
-  if not (Kripke.eval_in_state m (check ?limits m cs) start) then
+let resolve m cs ~start =
+  if not (Kripke.eval_in_state m (check m cs) start) then
     raise
       (Counterex.Witness.No_witness
          "CTL*: start state does not satisfy the formula");
@@ -117,15 +114,15 @@ let resolve ?limits m cs ~start =
             (List.map snd resolved_rev)
             (pure_fg c :: rest)
         in
-        Kripke.eval_in_state m (check ?limits m candidate) start
+        Kripke.eval_in_state m (check m candidate) start
       in
       if try_fg then go ((Took_fg, pure_fg c) :: resolved_rev) rest
       else go ((Took_gf, pure_gf c) :: resolved_rev) rest
   in
   List.map fst (go [] cs)
 
-let resolved_conjuncts ?limits m cs ~start =
-  let choices = resolve ?limits m cs ~start in
+let resolved_conjuncts m cs ~start =
+  let choices = resolve m cs ~start in
   List.map2
     (fun choice c ->
       match choice with
@@ -133,9 +130,9 @@ let resolved_conjuncts ?limits m cs ~start =
       | Took_gf -> (choice, c.gf))
     choices cs
 
-let witness ?limits m cs ~start =
+let witness m cs ~start =
   let bman = m.Kripke.man in
-  let resolved = resolved_conjuncts ?limits m cs ~start in
+  let resolved = resolved_conjuncts m cs ~start in
   let ps =
     List.filter_map
       (fun (choice, set) ->
@@ -151,16 +148,14 @@ let witness ?limits m cs ~start =
       m.Kripke.space resolved
   in
   let m' = Kripke.with_fairness m ps in
-  let target = Ctl.Fair.eg ?limits m' qs in
-  let prefix =
-    Counterex.Witness.eu ?limits m ~f:m.Kripke.space ~g:target ~start
-  in
+  let target = Ctl.Fair.eg m' qs in
+  let prefix = Counterex.Witness.eu m ~f:m.Kripke.space ~g:target ~start in
   let anchor =
     match List.rev (Kripke.Trace.states prefix) with
     | st :: _ -> st
     | [] -> assert false
   in
-  let lasso = Counterex.Witness.eg ?limits m' ~f:qs ~start:anchor in
+  let lasso = Counterex.Witness.eg m' ~f:qs ~start:anchor in
   Kripke.Trace.append prefix lasso
 
 let witness_ok m cs tr =

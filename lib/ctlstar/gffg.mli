@@ -21,28 +21,25 @@ type conjunct = {
 (** How each disjunction was resolved when building a witness. *)
 type resolution = Took_gf | Took_fg
 
-val core : ?limits:Bdd.Limits.t -> Kripke.t -> conjunct list -> Bdd.t
+val core : Kripke.t -> conjunct list -> Bdd.t
 (** The inner greatest fixpoint [gfp Y ...] (states from which the
-    tail of a satisfying path can start).  Every function below accepts
-    [?limits]: fixpoint iterations charge steps against the budget
-    (raising [Bdd.Limits.Exhausted] on a breach) without changing any
-    result. *)
+    tail of a satisfying path can start).  In every function below,
+    fixpoint iterations charge steps to the limits attached to the
+    model's manager (see [Bdd.Limits.with_attached]). *)
 
-val check : ?limits:Bdd.Limits.t -> Kripke.t -> conjunct list -> Bdd.t
+val check : Kripke.t -> conjunct list -> Bdd.t
 (** The satisfaction set [EF core]. *)
 
-val check_state :
-  ?limits:Bdd.Limits.t -> Kripke.t -> Syntax.state_formula -> Bdd.t
+val check_state : Kripke.t -> Syntax.state_formula -> Bdd.t
 (** Evaluate a CTL* state formula whose path quantifiers are all in the
     restricted class ([E] directly; [A φ] via [!E !φ] only when [!φ]
     classifies).  Raises {!Syntax.Unsupported} outside the fragment and
     {!Ctl.Check.Unknown_atom} for unknown atoms. *)
 
-val holds : ?limits:Bdd.Limits.t -> Kripke.t -> Syntax.state_formula -> bool
+val holds : Kripke.t -> Syntax.state_formula -> bool
 (** All initial states satisfy the formula. *)
 
 val resolve :
-  ?limits:Bdd.Limits.t ->
   Kripke.t -> conjunct list -> start:Kripke.state -> resolution list
 (** The branch choice made for each conjunct when demonstrating the
     formula from [start] (which must satisfy {!check}; raises
@@ -50,7 +47,6 @@ val resolve :
     for the experiment that counts checker invocations. *)
 
 val witness :
-  ?limits:Bdd.Limits.t ->
   Kripke.t -> conjunct list -> start:Kripke.state -> Kripke.Trace.t
 (** A lasso from [start] demonstrating [E /\_j (GF p_j \/ FG q_j)]:
     on the cycle, every resolved [GF p] set is visited and every

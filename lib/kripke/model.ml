@@ -285,15 +285,7 @@ let post m s =
     let img = Bdd.and_exists m.man (cur_cube m) m.trans s in
     unprime m img
 
-(* Charge one fixpoint iteration against the optional limits.  Also a
-   reorder checkpoint: the fixpoint engines root their frontiers, so a
-   pending auto-reorder may safely run between iterations (it only
-   does when the caller opted in via [Bdd.Reorder.with_checkpoints]). *)
-let tick m limits =
-  Bdd.Reorder.checkpoint m.man;
-  match limits with None -> () | Some l -> Bdd.Limits.step m.man l
-
-let reachable ?limits m =
+let reachable m =
   (* Memoised: the fixpoint depends only on the immutable [init] and
      [trans], so once computed it is stored on the model (rooted with
      its other diagrams) and every later call — any number of specs or
@@ -311,7 +303,12 @@ let reachable ?limits m =
         (fun () -> [ !frontier ])
         (fun () ->
           let rec go r =
-            tick m limits;
+            (* One step charged to the attached limits per iteration;
+               also a reorder checkpoint, safe because the frontier is
+               rooted (it only runs when the caller opted in via
+               [Bdd.Reorder.with_checkpoints]). *)
+            Bdd.Reorder.checkpoint m.man;
+            Bdd.Limits.step m.man;
             let r' = Bdd.or_ m.man r (post m r) in
             if Bdd.equal r r' then r
             else begin

@@ -180,10 +180,10 @@ val pre : t -> Bdd.t -> Bdd.t
 val post : t -> Bdd.t -> Bdd.t
 (** [post m s] — successors of states in [s]. *)
 
-val reachable : ?limits:Bdd.Limits.t -> t -> Bdd.t
-(** Least fixpoint of [post] from [init].  [limits] charges one step
-    per frontier iteration and is polled inside the image computations
-    (when attached to the manager); a breach raises
+val reachable : t -> Bdd.t
+(** Least fixpoint of [post] from [init].  Each frontier iteration
+    charges one step to the limits attached to the manager, which are
+    also polled inside the image computations; a breach raises
     [Bdd.Limits.Exhausted].  Memoised on the model ({!reach_memo}):
     only the first completed call computes; later calls — including
     warm check-server requests on a cached model — return the stored

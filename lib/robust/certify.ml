@@ -33,8 +33,8 @@ let suffix (tr : Kripke.Trace.t) k =
    same decomposition [Counterex.Explain] used to build it.  Operand
    satisfaction sets are recomputed here under fair semantics — the
    certificate shares only the model with the generator. *)
-let demonstrates ?limits ?engine m f tr =
-  let satf g = Ctl.Fair.sat ?limits ?engine m g in
+let demonstrates ?engine m f tr =
+  let satf g = Ctl.Fair.sat ?engine m g in
   let anchor label g tr =
     v label (Counterex.Validate.starts_at m (satf g) tr)
   in
@@ -101,14 +101,13 @@ let demonstrates ?limits ?engine m f tr =
   in
   go f tr
 
-let certify ?limits ?engine m formula tr =
+let certify ?engine m formula tr =
   let* () = v "path" (Counterex.Validate.path_ok m tr) in
   let* () =
     v "start" (Counterex.Validate.starts_at m m.Kripke.init tr)
   in
-  demonstrates ?limits ?engine m (Ctl.push_neg formula) tr
+  demonstrates ?engine m (Ctl.push_neg formula) tr
 
-let witness ?limits ?engine m f tr = certify ?limits ?engine m f tr
+let witness ?engine m f tr = certify ?engine m f tr
 
-let counterexample ?limits ?engine m f tr =
-  certify ?limits ?engine m (Ctl.Not f) tr
+let counterexample ?engine m f tr = certify ?engine m (Ctl.Not f) tr

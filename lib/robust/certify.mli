@@ -20,7 +20,6 @@
     non-zero. *)
 
 val witness :
-  ?limits:Bdd.Limits.t ->
   ?engine:Ctl.Fair.engine ->
   Kripke.t ->
   Ctl.t ->
@@ -29,15 +28,15 @@ val witness :
 (** [witness m f tr] — certify that [tr] demonstrates the formula [f]
     (as printed for a {e true existential} specification) from an
     initial state.  [Error msg] pinpoints the first violated
-    requirement.  [limits] governs the satisfaction-set fixpoints (at
-    minimum pass a cancellable bundle so SIGINT interrupts
-    certification too).  [engine] selects the fair-cycle engine for
-    those fixpoints — both engines compute identical sets, so the
-    choice affects only cost (and keeps a warm model's fair-states
-    memo keyed to the engine the caller requested). *)
+    requirement.  Limits attached to the model's manager govern the
+    satisfaction-set fixpoints (at minimum attach a cancellable bundle
+    so SIGINT interrupts certification too).  [engine] selects the
+    fair-cycle engine for those fixpoints — both engines compute
+    identical sets, so the choice affects only cost (and keeps a warm
+    model's fair-states memo keyed to the engine the caller
+    requested). *)
 
 val counterexample :
-  ?limits:Bdd.Limits.t ->
   ?engine:Ctl.Fair.engine ->
   Kripke.t ->
   Ctl.t ->

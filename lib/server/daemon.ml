@@ -206,8 +206,7 @@ let process cache ~id ~model ~specs ~(opts : Engine.opts) ~cancel =
         let reach_states =
           let limits = Engine.mk_limits opts ~cancel in
           match
-            Bdd.Limits.with_attached man limits (fun () ->
-                Kripke.reachable ~limits m)
+            Bdd.Limits.with_attached man limits (fun () -> Kripke.reachable m)
           with
           | reach -> Some (Kripke.count_states m reach)
           | exception Bdd.Limits.Exhausted _ -> None

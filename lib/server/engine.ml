@@ -168,7 +168,7 @@ let print_breach_progress ppf (info : Bdd.Limits.info) =
    [fallback] switches the source of the trace to the explicit-state
    bridge (the ladder's last rung); the surrounding text stays the
    same, so downstream tooling parses both alike. *)
-let trace_for ppf m ~limits ~engine ~emit ~holds ~fallback spec =
+let trace_for ppf m ~engine ~emit ~holds ~fallback spec =
   let emitf fmt =
     if emit then Format.fprintf ppf fmt else Format.ifprintf ppf fmt
   in
@@ -208,7 +208,7 @@ let trace_for ppf m ~limits ~engine ~emit ~holds ~fallback spec =
     if holds then begin
       if not (existential spec) then None
       else
-        match Counterex.Explain.witness ~limits ~engine m spec with
+        match Counterex.Explain.witness ~engine m spec with
         | Some tr ->
           show tr;
           Some tr
@@ -222,7 +222,7 @@ let trace_for ppf m ~limits ~engine ~emit ~holds ~fallback spec =
     else begin
       (* Counterexamples always use fair semantics when constraints are
          declared, as SMV does. *)
-      match Counterex.Explain.counterexample ~limits ~engine m spec with
+      match Counterex.Explain.counterexample ~engine m spec with
       | Some tr ->
         show_fail tr;
         Some tr
@@ -305,8 +305,8 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?prior
        certification phases below never enable them. *)
     Bdd.Limits.with_attached model.Kripke.man limits (fun () ->
         Bdd.Reorder.with_checkpoints model.Kripke.man (fun () ->
-            if opts.fair then Ctl.Fair.holds ~limits ~engine model spec
-            else Ctl.Check.holds ~limits model spec))
+            if opts.fair then Ctl.Fair.holds ~engine model spec
+            else Ctl.Check.holds model spec))
   in
   (* The degraded representation, built once per spec: partitioned
      transition relation (from the compiler's clusters) when the model
@@ -480,9 +480,8 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?prior
             match
               Bdd.Limits.with_attached ar.ar_model.Kripke.man ar.ar_limits
                 (fun () ->
-                  trace_for ppf ar.ar_model ~limits:ar.ar_limits
-                    ~engine:ar.ar_engine ~emit:opts.traces ~holds
-                    ~fallback:ar.ar_fallback spec)
+                  trace_for ppf ar.ar_model ~engine:ar.ar_engine
+                    ~emit:opts.traces ~holds ~fallback:ar.ar_fallback spec)
             with
             | tr -> tr
             | exception e when not debug ->
@@ -499,16 +498,13 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?prior
                is already in hand, only cancellation may stop its
                re-validation. *)
             let climits = Bdd.Limits.create ~cancel () in
-            let cert =
-              if holds then
-                Robust.Certify.witness ~limits:climits ~engine:ar.ar_engine m
-                  spec tr
-              else
-                Robust.Certify.counterexample ~limits:climits
-                  ~engine:ar.ar_engine m spec tr
-            in
             match
-              Bdd.Limits.with_attached man climits (fun () -> cert)
+              Bdd.Limits.with_attached man climits (fun () ->
+                  if holds then
+                    Robust.Certify.witness ~engine:ar.ar_engine m spec tr
+                  else
+                    Robust.Certify.counterexample ~engine:ar.ar_engine m
+                      spec tr)
             with
             | Ok () ->
               Format.fprintf ppf
@@ -524,6 +520,10 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?prior
             | exception Bdd.Limits.Exhausted info ->
               Format.fprintf ppf "-- (certification interrupted: %s)@."
                 (describe_breach info);
+              false
+            | exception e when not debug ->
+              Format.fprintf ppf "-- (certification could not run: %s)@."
+                (Printexc.to_string e);
               false)
           | Some _ | None -> false
         in

@@ -122,6 +122,54 @@ let () =
   expect "inject step: verdicts equal fault-free run"
     (verdicts out = clean_verdicts);
 
+  (* Under --certify, each fault site swept from K = 1 up to the first
+     K that no longer fires (the run then prints the fault-free bytes):
+     wherever the fault lands — verdict, trace or certification — it
+     must be contained.  The step site is swept at every K; mk and
+     probe, whose visits run to the thousands, in ~10% strides and with
+     a ladder, so verdict-phase faults are recovered rather than
+     reported as contained internal errors. *)
+  let sweep site ~next ~extra =
+    let args k =
+      [ model "mutex.smv"; "--certify"; "-q" ]
+      @ (match k with
+        | Some k -> [ "--inject"; Printf.sprintf "%s:%d" site k ]
+        | None -> [])
+      @ extra
+    in
+    let _, clean = run (args None) in
+    let rec go k ~escaped ~crashed =
+      let code, out = run (args (Some k)) in
+      let escaped = if code >= 0 && code <= 3 then escaped else k :: escaped in
+      let crashed =
+        if contains ~needle:"internal error" out then k :: crashed else crashed
+      in
+      if out = clean || k >= 100_000 then (k, escaped, crashed)
+      else go (next k) ~escaped ~crashed
+    in
+    let last, escaped, crashed = go 1 ~escaped:[] ~crashed:[] in
+    let ks = function
+      | [] -> ""
+      | l -> " (K = " ^ String.concat "," (List.rev_map string_of_int l) ^ ")"
+    in
+    expect
+      (Printf.sprintf "certify inject %s sweep reaches a K that no longer fires"
+         site)
+      (last < 100_000);
+    expect
+      (Printf.sprintf "certify inject %s:1..%d: exit within contract%s" site
+         last (ks escaped))
+      (escaped = []);
+    expect
+      (Printf.sprintf "certify inject %s:1..%d: no crash diagnostic%s" site
+         last (ks crashed))
+      (crashed = [])
+  in
+  let stride k = k + 1 + (k / 10) in
+  sweep "step" ~next:succ ~extra:[];
+  sweep "mk" ~next:stride ~extra:[ "--retries"; "2" ];
+  sweep "probe" ~next:stride ~extra:[ "--retries"; "2" ];
+
   (* 3. Without a ladder the injected fault is contained: UNDETERMINED
      verdicts, exit 2, no crash. *)
   let code, out = run [ model "mutex.smv"; "--inject"; "mk:20"; "-q" ] in

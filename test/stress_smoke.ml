@@ -280,37 +280,57 @@ let test_stale_path_refused () =
   Sys.remove path
 
 (* ------------------------------------------------------------------ *)
-(* 4. Duplicate ids and the per-connection in-flight cap. *)
+(* 4. Duplicate ids and the per-connection in-flight cap.  Each first
+   check runs counter26, which cannot finish by itself (its first spec
+   needs 2^26 iterations), so the second frame always meets it in
+   flight; once that reply is in, the [cancel] op ends the first check
+   and its reply comes back.  Cancel acknowledgements are skipped. *)
 
 let test_duplicate_and_inflight_cap () =
   let srv = spawn_server [ "--jobs"; "2"; "--max-inflight"; "1" ] in
-  let src = read_file (model_path "ring.smv") in
+  let src = read_file (model_path "counter26.smv") in
+  let cancel id =
+    send srv (Json.Obj [ ("op", Json.Str "cancel"); ("id", Json.Str id) ])
+  in
+  (* The next [n] replies other than cancel acknowledgements. *)
+  let recv_replies n =
+    let rec go acc n =
+      if n = 0 then List.rev acc
+      else
+        match recv srv with
+        | Some v when str "op" v = Some "cancel" -> go acc n
+        | Some v -> go (v :: acc) (n - 1)
+        | None -> List.rev acc
+    in
+    go [] n
+  in
   (* Two frames with one id, sent back to back: the second must be
      refused while the first is still in flight. *)
   send srv (check_req ~id:"dup" src);
   send srv (check_req ~id:"dup" src);
+  let refusal = recv_replies 1 in
+  cancel "dup";
   let statuses = ref [] in
-  for _ = 1 to 2 do
-    match recv srv with
-    | Some v when str "id" v = Some "dup" ->
-      statuses := Option.get (str "status" v) :: !statuses
-    | Some _ | None -> ()
-  done;
+  List.iter
+    (fun v ->
+      if str "id" v = Some "dup" then
+        statuses := Option.get (str "status" v) :: !statuses)
+    (refusal @ recv_replies 1);
   expect "duplicate id: one check reply and one structured error"
     (List.sort compare !statuses = [ "error"; "ok" ]);
   (* With --max-inflight 1, a second concurrent check on the same
      connection sheds with reason 'inflight'. *)
   send srv (check_req ~id:"cap-a" src);
   send srv (check_req ~id:"cap-b" src);
+  let shed = recv_replies 1 in
+  cancel "cap-a";
   let got = Hashtbl.create 4 in
-  for _ = 1 to 2 do
-    match recv srv with
-    | Some v -> (
+  List.iter
+    (fun v ->
       match str "id" v with
       | Some id -> Hashtbl.replace got id v
       | None -> ())
-    | None -> ()
-  done;
+    (shed @ recv_replies 1);
   (match (Hashtbl.find_opt got "cap-a", Hashtbl.find_opt got "cap-b") with
   | Some a, Some b ->
     expect "first check under the cap is served" (str "status" a = Some "ok");

@@ -189,7 +189,10 @@ let test_limits_breach_inside_lockstep () =
   let mx = Models.mutex () in
   let m = mx.Models.m in
   let limits = Bdd.Limits.create ~step_budget:2 () in
-  match Ctl.Fair.eg ~limits ~engine:Ctl.Fair.Lockstep m m.Kripke.space with
+  match
+    Bdd.Limits.with_attached m.Kripke.man limits (fun () ->
+        Ctl.Fair.eg ~engine:Ctl.Fair.Lockstep m m.Kripke.space)
+  with
   | _ -> Alcotest.fail "expected a step-budget breach inside lock-step"
   | exception Bdd.Limits.Exhausted info ->
     (match info.Bdd.Limits.breach with
@@ -268,7 +271,7 @@ let test_fault_sweep_lockstep () =
           let limits = Bdd.Limits.create ~timeout:3600.0 () in
           (match
              Bdd.Limits.with_attached man limits (fun () ->
-                 Ctl.Fair.holds ~limits ~engine:Ctl.Fair.Lockstep m spec)
+                 Ctl.Fair.holds ~engine:Ctl.Fair.Lockstep m spec)
            with
           | got ->
             (* The fault never fired (site not reached with this

@@ -24,7 +24,9 @@ let test_deadline () =
   (* The budget is a microsecond; by the first poll it has passed. *)
   Unix.sleepf 0.002;
   let info =
-    exhausted_info (fun () -> Ctl.Check.holds ~limits m (starvation mx))
+    exhausted_info (fun () ->
+        Bdd.Limits.with_attached m.Kripke.man limits (fun () ->
+            Ctl.Check.holds m (starvation mx)))
   in
   (match info.Bdd.Limits.breach with
   | Bdd.Limits.Deadline { timeout; elapsed } ->
@@ -44,7 +46,9 @@ let test_step_budget () =
   let m = mx.Models.m in
   let limits = Bdd.Limits.create ~step_budget:2 () in
   let info =
-    exhausted_info (fun () -> Ctl.Check.holds ~limits m (starvation mx))
+    exhausted_info (fun () ->
+        Bdd.Limits.with_attached m.Kripke.man limits (fun () ->
+            Ctl.Check.holds m (starvation mx)))
   in
   (match info.Bdd.Limits.breach with
   | Bdd.Limits.Step_budget { budget; steps } ->
@@ -65,7 +69,7 @@ let test_node_budget () =
   let info =
     exhausted_info (fun () ->
         Bdd.Limits.with_attached m.Kripke.man limits (fun () ->
-            Ctl.Check.holds ~limits m (starvation mx)))
+            Ctl.Check.holds m (starvation mx)))
   in
   match info.Bdd.Limits.breach with
   | Bdd.Limits.Node_budget { budget; live } ->
@@ -78,11 +82,13 @@ let test_cancel () =
   let m = mx.Models.m in
   let limits = Bdd.Limits.unlimited () in
   Alcotest.(check bool) "not yet cancelled" false (Bdd.Limits.cancelled limits);
-  Bdd.Limits.note_witness limits [ [| true |]; [| false |] ];
   Bdd.Limits.cancel limits;
   Alcotest.(check bool) "cancelled" true (Bdd.Limits.cancelled limits);
   let info =
-    exhausted_info (fun () -> Ctl.Check.holds ~limits m (starvation mx))
+    exhausted_info (fun () ->
+        Bdd.Limits.with_attached m.Kripke.man limits (fun () ->
+            Bdd.Limits.note_witness m.Kripke.man [ [| true |]; [| false |] ];
+            Ctl.Check.holds m (starvation mx)))
   in
   (match info.Bdd.Limits.breach with
   | Bdd.Limits.Interrupted -> ()
@@ -124,6 +130,84 @@ let test_attach_restore () =
   Alcotest.(check bool) "detached" true (Bdd.Limits.attached bman = None)
 
 (* ------------------------------------------------------------------ *)
+(* One channel reaches every engine: each public governed entry point,
+   called with no budget argument inside [with_attached] of a one-step
+   bundle, must trip it.  Every case builds a fresh manager, so no memo
+   left by an earlier case can spare a fixpoint.                       *)
+
+let governed_entry_points =
+  let on_mutex run () =
+    let mx = Models.mutex () in
+    (mx.Models.m.Kripke.man, fun () -> run mx mx.Models.m)
+  in
+  let fair_holds engine =
+    on_mutex (fun mx m -> ignore (Ctl.Fair.holds ~engine m (starvation mx)))
+  in
+  (* Automata over {a,b}: accept everything, and "infinitely many a's"
+     (a deterministic last-letter tracker); the first is not contained
+     in the second. *)
+  let ab = [| 'a'; 'b' |] in
+  let accept_all =
+    Automata.Streett.make ~nstates:1 ~init:0 ~alphabet:ab
+      ~delta:[ (0, 0, 0); (0, 1, 0) ] ~accept:[]
+  in
+  let inf_a =
+    Automata.Streett.make ~nstates:2 ~init:0 ~alphabet:ab
+      ~delta:[ (0, 0, 1); (0, 1, 0); (1, 0, 1); (1, 1, 0) ]
+      ~accept:[ ([], [ 1 ]) ]
+  in
+  [
+    ( "Check.holds",
+      on_mutex (fun mx m -> ignore (Ctl.Check.holds m (starvation mx))) );
+    ("Fair.holds el", fair_holds Ctl.Fair.El);
+    ("Fair.holds lockstep", fair_holds Ctl.Fair.Lockstep);
+    ( "Explain.witness",
+      on_mutex (fun mx m ->
+          ignore (Counterex.Explain.witness m (Ctl.EF mx.Models.c1))) );
+    ( "Explain.counterexample",
+      on_mutex (fun mx m ->
+          ignore (Counterex.Explain.counterexample m (starvation mx))) );
+    ( "Certify.witness",
+      fun () ->
+        let mx = Models.mutex () in
+        let m = mx.Models.m in
+        (* The opaque [not EG c1] operand makes certification rerun a
+           fair fixpoint of its own. *)
+        let f =
+          Ctl.EF (Ctl.And (mx.Models.c1, Ctl.Not (Ctl.EG mx.Models.c1)))
+        in
+        let tr = Option.get (Counterex.Explain.witness m f) in
+        (m.Kripke.man, fun () -> ignore (Robust.Certify.witness m f tr)) );
+    ( "Gffg.holds",
+      on_mutex (fun _ m ->
+          ignore
+            (Ctlstar.Gffg.holds m
+               (Ctlstar.E (Ctlstar.gf (Ctlstar.Atom "c1"))))) );
+    ( "Containment.contains",
+      fun () ->
+        let man = Bdd.create () in
+        ( man,
+          fun () ->
+            ignore
+              (Automata.Containment.contains ~man ~sys:accept_all ~spec:inf_a
+                 ()) ) );
+    ("Kripke.reachable", on_mutex (fun _ m -> ignore (Kripke.reachable m)));
+  ]
+
+let test_attached_reaches_every_engine () =
+  List.iter
+    (fun (name, setup) ->
+      let man, run = setup () in
+      let limits = Bdd.Limits.create ~step_budget:1 () in
+      match Bdd.Limits.with_attached man limits run with
+      | () -> Alcotest.failf "%s: finished under a one-step budget" name
+      | exception Bdd.Limits.Exhausted { Bdd.Limits.breach; _ } -> (
+        match breach with
+        | Bdd.Limits.Step_budget { budget = 1; _ } -> ()
+        | b -> Alcotest.failf "%s: wrong breach: %a" name Bdd.Limits.pp_breach b))
+    governed_entry_points
+
+(* ------------------------------------------------------------------ *)
 (* Property: a breach never corrupts the manager.                      *)
 
 let with_formula () =
@@ -143,7 +227,7 @@ let prop_breach_preserves_verdict =
       (try
          ignore
            (Bdd.Limits.with_attached m.Kripke.man limits (fun () ->
-                Ctl.Fair.sat ~limits m f))
+                Ctl.Fair.sat m f))
        with Bdd.Limits.Exhausted _ -> ());
       let after_plain = Ctl.Check.sat m f in
       let after_fair = Ctl.Fair.sat m f in
@@ -158,7 +242,7 @@ let prop_generous_limits_change_nothing =
       let limits = Bdd.Limits.create ~timeout:3600.0 ~step_budget:max_int () in
       let governed =
         Bdd.Limits.with_attached m.Kripke.man limits (fun () ->
-            Ctl.Fair.sat ~limits m f)
+            Ctl.Fair.sat m f)
       in
       Bdd.equal unlimited governed)
 
@@ -172,6 +256,8 @@ let suite =
       test_create_validation;
     Alcotest.test_case "attach/with_attached restore" `Quick
       test_attach_restore;
+    Alcotest.test_case "attached limits reach every engine" `Quick
+      test_attached_reaches_every_engine;
     prop_breach_preserves_verdict;
     prop_generous_limits_change_nothing;
   ]

@@ -13,8 +13,8 @@ let breach_exn () =
   let l = Bdd.Limits.create ~step_budget:1 () in
   match
     Bdd.Limits.with_attached m l (fun () ->
-        Bdd.Limits.step m l;
-        Bdd.Limits.step m l)
+        Bdd.Limits.step m;
+        Bdd.Limits.step m)
   with
   | () -> Alcotest.fail "step budget did not trip"
   | exception (Bdd.Limits.Exhausted _ as e) -> e
@@ -148,7 +148,7 @@ let test_cancel_short_circuits () =
     match
       Bdd.Limits.with_attached m l (fun () ->
           Atomic.set cancel true;
-          Bdd.Limits.step m l)
+          Bdd.Limits.step m)
     with
     | () -> Alcotest.fail "cancel flag did not raise"
     | exception (Bdd.Limits.Exhausted _ as e) -> e
@@ -211,8 +211,8 @@ let test_fault_step_breaches () =
   Bdd.Fault.arm m ~site:Bdd.Fault.Step ~after:2;
   match
     Bdd.Limits.with_attached m l (fun () ->
-        Bdd.Limits.step m l;
-        Bdd.Limits.step m l)
+        Bdd.Limits.step m;
+        Bdd.Limits.step m)
   with
   | () -> Alcotest.fail "armed step fault did not fire"
   | exception Bdd.Limits.Exhausted info -> (
