@@ -143,10 +143,10 @@ let xor_automaton n =
   (build false, build true)
 
 (* ------------------------------------------------------------------ *)
-(* Parametric SMV sources for the fair-cycle engine comparison (E18): *)
-(* scaled siblings of examples/models/{arbiter,philosophers,counter*} *)
-(* built as source text and loaded through Smv.load_string, so the    *)
-(* benchmark exercises the same front-end path as the CLI.            *)
+(* Parametric SMV sources for the benchmark runner: scaled siblings  *)
+(* of examples/models/{arbiter,philosophers,counter*} built as source *)
+(* text and loaded through Smv.load_string, so the benchmark          *)
+(* exercises the same front-end path as the CLI.                      *)
 
 (* Round-robin token arbiter with [n] users (the committed 8-user
    arbiter.smv, scaled).  With [fairness] one FAIRNESS constraint per
@@ -216,11 +216,10 @@ let philosophers_smv n =
   Buffer.contents b
 
 (* A [bits]-wide binary counter (the committed counter12, scaled).
-   The interesting E18 query is fair [EG (not all-ones)]: that
-   subgraph is a pure 2^bits-long chain with no cycle, the
-   Emerson-Lei worst case (each outer iteration peels one tail state
-   and re-runs a full EU sweep — quadratic in the chain), while the
-   lock-step engine's trimming deletes the whole chain in one pass. *)
+   Fair [EG (not all-ones)] on it is the Emerson-Lei worst case: that
+   subgraph is a pure 2^bits-long chain with no cycle, so each outer
+   iteration peels one tail state and re-runs a full EU sweep —
+   quadratic in the chain. *)
 let counter_smv bits =
   let b = Buffer.create 1024 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in

@@ -84,7 +84,7 @@ let print_model_stats (opts : Engine.opts) m =
    per-worker manager snapshots of a parallel run, merged into the main
    manager's counters so --stats reports one totalled view of the whole
    run regardless of --jobs. *)
-let print_run_stats ?(extra = []) ?(fair_engine = Ctl.Fair.El) m =
+let print_run_stats ?(extra = []) m =
   let s = List.fold_left Bdd.merge_stats (Bdd.stats m.Kripke.man) extra in
   Format.printf "%a@." Bdd.pp_stats s;
   let c = Ctl.Check.fixpoint_stats () in
@@ -95,14 +95,7 @@ let print_run_stats ?(extra = []) ?(fair_engine = Ctl.Fair.El) m =
     c.Ctl.Check.ring_layers;
   Format.printf
     "fair fixpoints: %d outer iterations, %d ring layers saved@."
-    f.Ctl.Fair.outer_iterations f.Ctl.Fair.ring_layers;
-  (* Printed only under --fair-engine lockstep, keeping the default
-     --stats output byte-identical to earlier versions. *)
-  if fair_engine = Ctl.Fair.Lockstep then
-    Format.printf
-      "lock-step: %d rounds, %d SCCs examined, %d regions skipped@."
-      f.Ctl.Fair.lockstep_rounds f.Ctl.Fair.lockstep_sccs_examined
-      f.Ctl.Fair.lockstep_sccs_skipped
+    f.Ctl.Fair.outer_iterations f.Ctl.Fair.ring_layers
 
 (* Random walk from a random initial state, choosing uniformly at each
    step with symbolic cofactor-weighted sampling — no state
@@ -304,10 +297,9 @@ let run (opts : Engine.opts) ~jobs ~debug ~crash_worker ~extra_specs
   in
   if !interrupted then begin
     Format.printf "-- interrupted; statistics so far:@.";
-    print_run_stats ~extra:worker_stats ~fair_engine:opts.fair_engine m
+    print_run_stats ~extra:worker_stats m
   end
-  else if opts.stats then
-    print_run_stats ~extra:worker_stats ~fair_engine:opts.fair_engine m;
+  else if opts.stats then print_run_stats ~extra:worker_stats m;
   Ok (Engine.exit_code ~interrupted:!interrupted reports)
 
 open Cmdliner
@@ -335,23 +327,6 @@ let no_fair_arg =
         ~doc:
           "Ignore FAIRNESS constraints when deciding specifications \
            (counterexample generation still respects them).")
-
-let fair_engine_arg =
-  Arg.(
-    value
-    & opt (enum [ ("el", Ctl.Fair.El); ("lockstep", Ctl.Fair.Lockstep) ])
-        Engine.default_opts.fair_engine
-    & info [ "fair-engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Fair-cycle detection algorithm.  $(b,el) (default) is the \
-           Emerson-Lei nested fixpoint; $(b,lockstep) finds \
-           fairness-intersecting SCCs by lock-step symbolic SCC \
-           decomposition (asymptotically fewer image computations on \
-           models with long fair-cycle chains).  Verdicts, traces and \
-           exit codes are identical under either engine — witness onion \
-           rings are extracted by shared code after the fixpoint \
-           converges; only speed and the --stats counters differ.  On \
-           --retries breaches, retries always fall back to $(b,el).")
 
 let no_trace_arg =
   Arg.(
@@ -682,7 +657,6 @@ let jobs_term =
    reads the one-shot --seed; [main] sets the [inject] field. *)
 let opts_term =
   let+ no_fair = no_fair_arg
-  and+ fair_engine = fair_engine_arg
   and+ no_trace = no_trace_arg
   and+ stats = stats_arg
   and+ certify = certify_arg
@@ -697,7 +671,6 @@ let opts_term =
   let opts =
     {
       Engine.fair = not no_fair;
-      fair_engine;
       traces = not no_trace;
       stats;
       certify;

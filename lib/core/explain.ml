@@ -15,10 +15,10 @@ let rec is_temporal = function
     (* explain works on push_neg-normalised formulas *)
     assert false
 
-let explain ?engine m formula ~start =
+let explain m formula ~start =
   let bman = m.Kripke.man in
-  let fair = Ctl.Fair.fair_states ?engine m in
-  let satf f = Ctl.Fair.sat ?engine m f in
+  let fair = Ctl.Fair.fair_states m in
+  let satf f = Ctl.Fair.sat m f in
   let holds_at f st = Kripke.eval_in_state m (satf f) st in
   let rec go f st =
     if not (holds_at f st) then
@@ -43,7 +43,7 @@ let explain ?engine m formula ~start =
       let target = Bdd.and_ bman (satf b) fair in
       let prefix = Witness.eu m ~f:(satf a) ~g:target ~start:st in
       continue prefix b
-    | Ctl.EG a -> Witness.eg ?engine m ~f:(satf a) ~start:st
+    | Ctl.EG a -> Witness.eg m ~f:(satf a) ~start:st
     | Ctl.Imp _ | Ctl.Iff _ | Ctl.EF _ | Ctl.AX _ | Ctl.AF _
     | Ctl.AG _ | Ctl.AU _ ->
       assert false
@@ -58,16 +58,16 @@ let explain ?engine m formula ~start =
   in
   go (Ctl.push_neg formula) start
 
-let witness ?engine m formula =
-  let sat = Ctl.Fair.sat ?engine m formula in
+let witness m formula =
+  let sat = Ctl.Fair.sat m formula in
   let good = Bdd.and_ m.Kripke.man m.Kripke.init sat in
   match Kripke.pick_state m good with
   | None -> None
-  | Some st -> Some (explain ?engine m formula ~start:st)
+  | Some st -> Some (explain m formula ~start:st)
 
-let counterexample ?engine m formula =
-  let sat = Ctl.Fair.sat ?engine m formula in
+let counterexample m formula =
+  let sat = Ctl.Fair.sat m formula in
   let bad = Bdd.diff m.Kripke.man m.Kripke.init sat in
   match Kripke.pick_state m bad with
   | None -> None
-  | Some st -> Some (explain ?engine m (Ctl.Not formula) ~start:st)
+  | Some st -> Some (explain m (Ctl.Not formula) ~start:st)

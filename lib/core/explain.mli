@@ -19,9 +19,7 @@
 
 exception Cannot_explain of string
 
-val explain :
-  ?engine:Ctl.Fair.engine ->
-  Kripke.t -> Ctl.t -> start:Kripke.state -> Kripke.Trace.t
+val explain : Kripke.t -> Ctl.t -> start:Kripke.state -> Kripke.Trace.t
 (** [explain m f ~start] — a trace demonstrating [f] at [start]; the
     formula must hold there under fair semantics (raises
     {!Cannot_explain} otherwise).  The trace is finite when no temporal
@@ -31,15 +29,11 @@ val explain :
     attached to the model's manager; a breach raises
     [Bdd.Limits.Exhausted]. *)
 
-val witness :
-  ?engine:Ctl.Fair.engine ->
-  Kripke.t -> Ctl.t -> Kripke.Trace.t option
+val witness : Kripke.t -> Ctl.t -> Kripke.Trace.t option
 (** A trace from some initial state demonstrating the (existential)
     formula; [None] when no initial state satisfies it. *)
 
-val counterexample :
-  ?engine:Ctl.Fair.engine ->
-  Kripke.t -> Ctl.t -> Kripke.Trace.t option
+val counterexample : Kripke.t -> Ctl.t -> Kripke.Trace.t option
 (** A trace from some initial state demonstrating the *negation* of the
     formula; [None] when the formula holds on every initial state
     (i.e. the specification is true and there is nothing to show). *)

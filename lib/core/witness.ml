@@ -169,10 +169,10 @@ let run_round m ~strategy ~f ~egf ~(rings : Ctl.Fair.rings list) s =
       Closed (round_states, closing)
     | None -> Failed round_states)
 
-let eg_stats ?engine ?(strategy = Restart) ?(max_restarts = 1_000_000)
+let eg_stats ?(strategy = Restart) ?(max_restarts = 1_000_000)
     m ~f ~start =
   let f = Bdd.and_ m.Kripke.man f m.Kripke.space in
-  let egf, rings = Ctl.Fair.eg_with_rings ?engine m f in
+  let egf, rings = Ctl.Fair.eg_with_rings m f in
   if not (in_set m egf start) then
     raise (No_witness "EG: start state does not satisfy fair EG f");
   (* Each failed round strictly descends the DAG of strongly connected
@@ -207,26 +207,25 @@ let eg_stats ?engine ?(strategy = Restart) ?(max_restarts = 1_000_000)
   in
   loop [ start ] start 0
 
-let eg ?engine ?strategy m ~f ~start =
-  fst (eg_stats ?engine ?strategy m ~f ~start)
+let eg ?strategy m ~f ~start = fst (eg_stats ?strategy m ~f ~start)
 
 (* ------------------------------------------------------------------ *)
 (* Fair EX / EU: reduce to the unfair operator against [g /\ fair] and
    extend to an infinite fair path with an [EG true] witness.          *)
 
-let extend_fair ?engine m trace =
+let extend_fair m trace =
   match List.rev (Kripke.Trace.states trace) with
   | [] -> raise (No_witness "internal: empty trace")
   | last :: _ ->
-    let tail = eg ?engine m ~f:m.Kripke.space ~start:last in
+    let tail = eg m ~f:m.Kripke.space ~start:last in
     Kripke.Trace.append trace tail
 
-let ex_fair ?engine m ~f ~start =
+let ex_fair m ~f ~start =
   let bman = m.Kripke.man in
-  let fair = Ctl.Fair.fair_states ?engine m in
-  extend_fair ?engine m (ex m ~f:(Bdd.and_ bman f fair) ~start)
+  let fair = Ctl.Fair.fair_states m in
+  extend_fair m (ex m ~f:(Bdd.and_ bman f fair) ~start)
 
-let eu_fair ?engine m ~f ~g ~start =
+let eu_fair m ~f ~g ~start =
   let bman = m.Kripke.man in
-  let fair = Ctl.Fair.fair_states ?engine m in
-  extend_fair ?engine m (eu m ~f ~g:(Bdd.and_ bman g fair) ~start)
+  let fair = Ctl.Fair.fair_states m in
+  extend_fair m (eu m ~f ~g:(Bdd.and_ bman g fair) ~start)

@@ -55,18 +55,13 @@ val eu : Kripke.t -> f:Bdd.t -> g:Bdd.t -> start:Kripke.state -> Kripke.Trace.t
     path from [start] through [f]-states to a [g]-state. *)
 
 val eg :
-  ?engine:Ctl.Fair.engine ->
   ?strategy:strategy ->
   Kripke.t -> f:Bdd.t -> start:Kripke.state -> Kripke.Trace.t
 (** Lasso witness for [EG f] under the model's fairness constraints
     (all of Section 6).  With no declared constraints this degenerates
-    to a plain [EG] witness.  [engine] selects the fair-cycle engine
-    used to converge the hull; the rings the construction walks are
-    extracted by engine-independent code, so the witness is
-    byte-identical under either. *)
+    to a plain [EG] witness. *)
 
 val eg_stats :
-  ?engine:Ctl.Fair.engine ->
   ?strategy:strategy ->
   ?max_restarts:int ->
   Kripke.t ->
@@ -80,14 +75,11 @@ val eg_stats :
     rounds; exceeding it raises {!Restart_bound_exceeded} with the
     collected prefix and counts. *)
 
-val ex_fair :
-  ?engine:Ctl.Fair.engine ->
-  Kripke.t -> f:Bdd.t -> start:Kripke.state -> Kripke.Trace.t
+val ex_fair : Kripke.t -> f:Bdd.t -> start:Kripke.state -> Kripke.Trace.t
 (** Witness for [EX f] under fairness: a step into [f /\ fair],
     extended to an infinite fair path by an [EG true] witness. *)
 
 val eu_fair :
-  ?engine:Ctl.Fair.engine ->
   Kripke.t -> f:Bdd.t -> g:Bdd.t -> start:Kripke.state -> Kripke.Trace.t
 (** Witness for [E[f U g]] under fairness: a finite prefix to
     [g /\ fair], extended to an infinite fair path. *)

@@ -33,8 +33,8 @@ let suffix (tr : Kripke.Trace.t) k =
    same decomposition [Counterex.Explain] used to build it.  Operand
    satisfaction sets are recomputed here under fair semantics — the
    certificate shares only the model with the generator. *)
-let demonstrates ?engine m f tr =
-  let satf g = Ctl.Fair.sat ?engine m g in
+let demonstrates m f tr =
+  let satf g = Ctl.Fair.sat m g in
   let anchor label g tr =
     v label (Counterex.Validate.starts_at m (satf g) tr)
   in
@@ -101,13 +101,13 @@ let demonstrates ?engine m f tr =
   in
   go f tr
 
-let certify ?engine m formula tr =
+let certify m formula tr =
   let* () = v "path" (Counterex.Validate.path_ok m tr) in
   let* () =
     v "start" (Counterex.Validate.starts_at m m.Kripke.init tr)
   in
-  demonstrates ?engine m (Ctl.push_neg formula) tr
+  demonstrates m (Ctl.push_neg formula) tr
 
-let witness ?engine m f tr = certify ?engine m f tr
+let witness = certify
 
-let counterexample ?engine m f tr = certify ?engine m (Ctl.Not f) tr
+let counterexample m f tr = certify m (Ctl.Not f) tr

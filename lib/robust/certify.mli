@@ -20,7 +20,6 @@
     non-zero. *)
 
 val witness :
-  ?engine:Ctl.Fair.engine ->
   Kripke.t ->
   Ctl.t ->
   Kripke.Trace.t ->
@@ -30,14 +29,9 @@ val witness :
     initial state.  [Error msg] pinpoints the first violated
     requirement.  Limits attached to the model's manager govern the
     satisfaction-set fixpoints (at minimum attach a cancellable bundle
-    so SIGINT interrupts certification too).  [engine] selects the
-    fair-cycle engine for those fixpoints — both engines compute
-    identical sets, so the choice affects only cost (and keeps a warm
-    model's fair-states memo keyed to the engine the caller
-    requested). *)
+    so SIGINT interrupts certification too). *)
 
 val counterexample :
-  ?engine:Ctl.Fair.engine ->
   Kripke.t ->
   Ctl.t ->
   Kripke.Trace.t ->

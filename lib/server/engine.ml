@@ -11,7 +11,6 @@ type report = { verdict : verdict; cert_failed : bool }
 
 type opts = {
   fair : bool;
-  fair_engine : Ctl.Fair.engine;
   traces : bool;
   stats : bool;
   certify : bool;
@@ -29,7 +28,6 @@ type opts = {
 let default_opts =
   {
     fair = true;
-    fair_engine = Ctl.Fair.El;
     traces = true;
     stats = false;
     certify = false;
@@ -168,7 +166,7 @@ let print_breach_progress ppf (info : Bdd.Limits.info) =
    [fallback] switches the source of the trace to the explicit-state
    bridge (the ladder's last rung); the surrounding text stays the
    same, so downstream tooling parses both alike. *)
-let trace_for ppf m ~engine ~emit ~holds ~fallback spec =
+let trace_for ppf m ~emit ~holds ~fallback spec =
   let emitf fmt =
     if emit then Format.fprintf ppf fmt else Format.ifprintf ppf fmt
   in
@@ -208,7 +206,7 @@ let trace_for ppf m ~engine ~emit ~holds ~fallback spec =
     if holds then begin
       if not (existential spec) then None
       else
-        match Counterex.Explain.witness ~engine m spec with
+        match Counterex.Explain.witness m spec with
         | Some tr ->
           show tr;
           Some tr
@@ -222,7 +220,7 @@ let trace_for ppf m ~engine ~emit ~holds ~fallback spec =
     else begin
       (* Counterexamples always use fair semantics when constraints are
          declared, as SMV does. *)
-      match Counterex.Explain.counterexample ~engine m spec with
+      match Counterex.Explain.counterexample m spec with
       | Some tr ->
         show_fail tr;
         Some tr
@@ -249,10 +247,6 @@ type attempt_result = {
   ar_model : Kripke.t;
   ar_limits : Bdd.Limits.t;
   ar_fallback : Robust.Fallback.t option;
-  ar_engine : Ctl.Fair.engine;
-      (* the fair engine the verdict (and hence any trace) ran under:
-         the requested one on attempt 1, the classical Emerson-Lei
-         engine on every retry (the ladder's engine-fallback rung) *)
 }
 
 let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?prior
@@ -291,21 +285,13 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?prior
         ?node_budget:(backoff k opts.node_limit)
         ?step_budget:(backoff k opts.step_limit) ~cancel ()
   in
-  (* Engine fallback (see Robust.Ladder): attempt 1 honours the
-     requested fair engine; any breach or crash retries on the
-     battle-tested Emerson-Lei engine before the ladder trades away
-     fidelity, so a lock-step pathology can never make a verdict
-     *less* available than the default engine would. *)
-  let engine_for ~attempt =
-    if attempt = 1 then opts.fair_engine else Ctl.Fair.El
-  in
-  let run_symbolic model limits ~engine =
+  let run_symbolic model limits =
     (* Checkpoints on: the verdict phase runs only rooted fixpoints, so
        a pending auto-reorder may fire between iterations.  Witness and
        certification phases below never enable them. *)
     Bdd.Limits.with_attached model.Kripke.man limits (fun () ->
         Bdd.Reorder.with_checkpoints model.Kripke.man (fun () ->
-            if opts.fair then Ctl.Fair.holds ~engine model spec
+            if opts.fair then Ctl.Fair.holds model spec
             else Ctl.Check.holds model spec))
   in
   (* The degraded representation, built once per spec: partitioned
@@ -328,17 +314,16 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?prior
   in
   let attempt_fn ~attempt strategy =
     let limits = limits_for attempt in
-    let engine = engine_for ~attempt in
     match strategy with
     | Robust.Ladder.Direct | Robust.Ladder.Main_domain ->
-      { ar_holds = run_symbolic m limits ~engine; ar_model = m;
-        ar_limits = limits; ar_fallback = None; ar_engine = engine }
+      { ar_holds = run_symbolic m limits; ar_model = m;
+        ar_limits = limits; ar_fallback = None }
     | Robust.Ladder.Gc_retry ->
       (* Reclaim the breached computation's intermediate nodes and drop
          the op-caches, then re-run plainly under backed-off budgets. *)
       ignore (Bdd.gc man);
-      { ar_holds = run_symbolic m limits ~engine; ar_model = m;
-        ar_limits = limits; ar_fallback = None; ar_engine = engine }
+      { ar_holds = run_symbolic m limits; ar_model = m;
+        ar_limits = limits; ar_fallback = None }
     | Robust.Ladder.Reorder ->
       (* Shrink the tables with a sifting sweep before giving up any
          fidelity.  The sweep runs under this attempt's limits, so a
@@ -346,8 +331,8 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?prior
          (including an injected reorder fault) is classified by the
          ladder like any other and climbs to the next rung. *)
       Bdd.Limits.with_attached man limits (fun () -> Bdd.reorder man);
-      { ar_holds = run_symbolic m limits ~engine; ar_model = m;
-        ar_limits = limits; ar_fallback = None; ar_engine = engine }
+      { ar_holds = run_symbolic m limits; ar_model = m;
+        ar_limits = limits; ar_fallback = None }
     | Robust.Ladder.Degraded ->
       (* Trade speed for footprint: tight op-caches plus a partitioned
          relation with early quantification. *)
@@ -358,8 +343,8 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?prior
       in
       Bdd.set_cache_limit man (Some tightened);
       let dm = degraded_model () in
-      { ar_holds = run_symbolic dm limits ~engine; ar_model = dm;
-        ar_limits = limits; ar_fallback = None; ar_engine = engine }
+      { ar_holds = run_symbolic dm limits; ar_model = dm;
+        ar_limits = limits; ar_fallback = None }
     | Robust.Ladder.Explicit_state ->
       (* Abandon the symbolic representation: enumerate the (small)
          state space and decide explicitly.  Deadline and cancellation
@@ -377,7 +362,6 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?prior
         ar_model = m;
         ar_limits = limits;
         ar_fallback = Some fb;
-        ar_engine = engine;
       }
   in
   (* The spec's embedded Pred state sets live on [man] but are not
@@ -480,8 +464,8 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?prior
             match
               Bdd.Limits.with_attached ar.ar_model.Kripke.man ar.ar_limits
                 (fun () ->
-                  trace_for ppf ar.ar_model ~engine:ar.ar_engine
-                    ~emit:opts.traces ~holds ~fallback:ar.ar_fallback spec)
+                  trace_for ppf ar.ar_model ~emit:opts.traces ~holds
+                    ~fallback:ar.ar_fallback spec)
             with
             | tr -> tr
             | exception e when not debug ->
@@ -500,11 +484,8 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?prior
             let climits = Bdd.Limits.create ~cancel () in
             match
               Bdd.Limits.with_attached man climits (fun () ->
-                  if holds then
-                    Robust.Certify.witness ~engine:ar.ar_engine m spec tr
-                  else
-                    Robust.Certify.counterexample ~engine:ar.ar_engine m
-                      spec tr)
+                  if holds then Robust.Certify.witness m spec tr
+                  else Robust.Certify.counterexample m spec tr)
             with
             | Ok () ->
               Format.fprintf ppf

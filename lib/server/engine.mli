@@ -37,19 +37,13 @@ type report = { verdict : verdict; cert_failed : bool }
     both run {!validate_opts}, so a flagless one-shot run and an
     option-less request check alike.  Each field below is given as
     JSON key / CLI flag; on the wire a [bool] is a JSON boolean, an
-    [int] or [float] a number, and [fair_engine], [reorder] and
-    [inject] are strings spelled as on the CLI.  [partitioned] and
-    [reorder] shape the model the caller compiles; the rest steer
-    {!check_one}. *)
+    [int] or [float] a number, and [reorder] and [inject] are strings
+    spelled as on the CLI.  [partitioned] and [reorder] shape the
+    model the caller compiles; the rest steer {!check_one}. *)
 type opts = {
   fair : bool;
       (** ["fair"] / [--no-fairness] (negated): honour FAIRNESS
           constraints when deciding specifications *)
-  fair_engine : Ctl.Fair.engine;
-      (** ["fair_engine"] / [--fair-engine]: which fair-cycle engine
-          decides fair [EG] fixpoints on the first attempt; retries
-          always fall back to the classical Emerson-Lei engine (see
-          [Robust.Ladder]) *)
   traces : bool;
       (** ["traces"] / [-q] (negated): print witness / counterexample
           traces *)
@@ -75,7 +69,7 @@ type opts = {
 }
 
 val default_opts : opts
-(** The flag defaults: fair, El engine, traces on, everything else
+(** The flag defaults: fair, traces on, everything else
     off or unbounded, [retry_factor = 2.0], [reorder_threshold = 4096]. *)
 
 val reorder_modes : (string * [ `None | `Once | `Auto ]) list

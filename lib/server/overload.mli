@@ -67,10 +67,6 @@ val finished : t -> float -> unit
 (** A check replied; the argument is its duration in seconds, fed to
     the rolling window behind {!retry_after_ms}. *)
 
-val checked_engine : t -> lockstep:bool -> unit
-(** Count one completed check against the fair engine that served it;
-    surfaced as the [checks_el] / [checks_lockstep] status counters. *)
-
 val inflight : t -> int
 (** Checks admitted and not yet replied (queued or running). *)
 
@@ -110,8 +106,6 @@ type stats = {
   clamps : int;              (** managers whose op-caches were clamped *)
   unclamps : int;            (** clamps restored after pressure cleared *)
   transitions : int;         (** watchdog level changes *)
-  checks_el : int;           (** checks served by the Emerson-Lei engine *)
-  checks_lockstep : int;     (** checks served by the lock-step engine *)
   avg_check_s : float option;
 }
 

@@ -38,10 +38,11 @@ type t = {
 type counters = { snapshots : int; restores : int; quarantines : int }
 
 (* Bumped whenever the marshalled payload shape changes ("SMVWARM1"
-   predates the engine-tagged fair memo in [Kripke.skeleton]); a
-   mismatch quarantines the stale file instead of unmarshalling it as
+   predates the fair memo in [Kripke.skeleton] carrying an engine tag,
+   "SMVWARM2" carries that tag, "SMVWARM3" is the untagged memo again);
+   a mismatch quarantines the stale file instead of unmarshalling it as
    garbage. *)
-let magic = "SMVWARM2"
+let magic = "SMVWARM3"
 let suffix = ".warm"
 
 let warn t fmt =

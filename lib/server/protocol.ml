@@ -38,12 +38,6 @@ let parse_options json =
     let bool set = field Json.to_bool "a boolean" (fun b -> Ok (set b))
     and int set = field Json.to_int "an integer" (fun n -> Ok (set n))
     and num set = field Json.to_num "a number" (fun x -> Ok (set x)) in
-    let enum what of_string set =
-      field Json.to_str "a string" (fun s ->
-          match of_string s with
-          | Some x -> Ok (set x)
-          | None -> Error (Printf.sprintf "%S: unknown %s %S" key what s))
-    in
     match key with
     | "fair" -> bool (fun fair -> { o with Engine.fair })
     | "traces" -> bool (fun traces -> { o with Engine.traces })
@@ -58,12 +52,12 @@ let parse_options json =
     | "reorder_threshold" ->
       int (fun reorder_threshold -> { o with Engine.reorder_threshold })
     | "reorder" ->
-      enum "mode (none, once or auto)"
-        (fun s -> List.assoc_opt s Engine.reorder_modes)
-        (fun reorder -> { o with Engine.reorder })
-    | "fair_engine" ->
-      enum "engine (el or lockstep)" Ctl.Fair.engine_of_string
-        (fun fair_engine -> { o with Engine.fair_engine })
+      field Json.to_str "a string" (fun s ->
+          match List.assoc_opt s Engine.reorder_modes with
+          | Some reorder -> Ok { o with Engine.reorder }
+          | None ->
+            Error
+              (Printf.sprintf "%S: unknown mode (none, once or auto) %S" key s))
     | "inject" ->
       field Json.to_str "a string" (fun s ->
           match Engine.parse_inject s with
@@ -242,8 +236,6 @@ type server_status = {
   ss_restores : int;
   ss_quarantines : int;
   ss_restarts : int;
-  ss_checks_el : int;
-  ss_checks_lockstep : int;
   ss_cache_capacity : int;
   ss_models : model_status list;
 }
@@ -297,8 +289,6 @@ let status_reply s =
                ("restores", Num (float_of_int s.ss_restores));
                ("quarantines", Num (float_of_int s.ss_quarantines));
                ("restarts", Num (float_of_int s.ss_restarts));
-               ("checks_el", Num (float_of_int s.ss_checks_el));
-               ("checks_lockstep", Num (float_of_int s.ss_checks_lockstep));
              ] );
          ("pressure_level", Num (float_of_int s.ss_pressure_level));
          ("mem_live_nodes", Num (float_of_int s.ss_mem_live_nodes));

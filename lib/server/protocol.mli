@@ -133,8 +133,6 @@ type server_status = {
   ss_restores : int;
   ss_quarantines : int;
   ss_restarts : int;
-  ss_checks_el : int;      (** checks served by the Emerson-Lei engine *)
-  ss_checks_lockstep : int;  (** checks served by the lock-step engine *)
   ss_cache_capacity : int;
   ss_models : model_status list;
 }

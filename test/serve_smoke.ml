@@ -262,9 +262,6 @@ let parity_rows =
     ( "reorder",
       [ "--reorder"; "auto"; "--reorder-threshold"; "50" ],
       [ ("reorder", Json.Str "auto"); ("reorder_threshold", num 50) ] );
-    ( "fair_engine",
-      [ "--fair-engine"; "lockstep" ],
-      [ ("fair_engine", Json.Str "lockstep") ] );
     ("inject", [ "--inject"; "mk:20" ], [ ("inject", Json.Str "mk:20") ]);
   ]
 

@@ -140,9 +140,6 @@ let governed_entry_points =
     let mx = Models.mutex () in
     (mx.Models.m.Kripke.man, fun () -> run mx mx.Models.m)
   in
-  let fair_holds engine =
-    on_mutex (fun mx m -> ignore (Ctl.Fair.holds ~engine m (starvation mx)))
-  in
   (* Automata over {a,b}: accept everything, and "infinitely many a's"
      (a deterministic last-letter tracker); the first is not contained
      in the second. *)
@@ -159,8 +156,8 @@ let governed_entry_points =
   [
     ( "Check.holds",
       on_mutex (fun mx m -> ignore (Ctl.Check.holds m (starvation mx))) );
-    ("Fair.holds el", fair_holds Ctl.Fair.El);
-    ("Fair.holds lockstep", fair_holds Ctl.Fair.Lockstep);
+    ( "Fair.holds",
+      on_mutex (fun mx m -> ignore (Ctl.Fair.holds m (starvation mx))) );
     ( "Explain.witness",
       on_mutex (fun mx m ->
           ignore (Counterex.Explain.witness m (Ctl.EF mx.Models.c1))) );

@@ -232,9 +232,10 @@ let test_protocol_parse_check () =
   | Error e -> Alcotest.failf "parse failed: %s" e
 
 let test_protocol_errors () =
-  let expect_err payload =
+  let expect_err ?msg payload =
     match Protocol.parse_request payload with
-    | Error _ -> ()
+    | Error e ->
+      Option.iter (fun msg -> Alcotest.(check string) payload msg e) msg
     | Ok _ -> Alcotest.failf "accepted: %s" payload
   in
   expect_err "not json at all";
@@ -247,6 +248,9 @@ let test_protocol_errors () =
     {|{"op":"check","id":"a","model":"m","options":{"inject":"bogus:1"}}|};
   (* a typo for "traces" *)
   expect_err {|{"op":"check","id":"a","model":"m","options":{"trace":false}}|};
+  (* a removed key is unknown, never silently accepted *)
+  expect_err ~msg:{|unknown option "fair_engine"|}
+    {|{"op":"check","id":"a","model":"m","options":{"fair_engine":"el"}}|};
   expect_err {|{"op":"cancel"}|};
   (* id missing *)
   match Protocol.parse_request {|{"op":"ping"}|} with
@@ -525,8 +529,6 @@ let test_protocol_status_reply () =
         ss_restores = 1;
         ss_quarantines = 0;
         ss_restarts = 3;
-        ss_checks_el = 5;
-        ss_checks_lockstep = 2;
         ss_cache_capacity = 8;
         ss_models =
           [
@@ -570,10 +572,6 @@ let test_protocol_status_reply () =
       (Option.bind (Json.member "quarantines" counters) Json.to_num);
     Alcotest.(check (option (float 0.))) "restarts" (Some 3.)
       (Option.bind (Json.member "restarts" counters) Json.to_num);
-    Alcotest.(check (option (float 0.))) "checks_el" (Some 5.)
-      (Option.bind (Json.member "checks_el" counters) Json.to_num);
-    Alcotest.(check (option (float 0.))) "checks_lockstep" (Some 2.)
-      (Option.bind (Json.member "checks_lockstep" counters) Json.to_num);
     let cache = Json.member "cache" v |> Option.get in
     Alcotest.(check (option (float 0.))) "cache entries" (Some 1.)
       (Option.bind (Json.member "entries" cache) Json.to_num);
