@@ -1,57 +1,184 @@
-(* E9 (ablation) — monolithic vs conjunctively partitioned transition
-   relations with early quantification (the image-computation design
-   choice DESIGN.md calls out; SMV's technique of Burch-Clarke-Long).
+(* E9 (ablation) — image schedules for the transition relation: one
+   monolithic relational product, size-bounded clusters (the default:
+   adjacent conjuncts merged up to [Kripke.cluster_limit] nodes), and
+   the finest partition ([--partitioned]: one step per conjunct), all
+   with early quantification (Burch-Clarke-Long, as in SMV).  A second
+   table sweeps the cluster bound.
 
-   Workload: an n-cell XOR cellular automaton with a free input cell —
-   the transition relation is naturally one conjunct per cell.  Rows
-   compare reachability time and the size of the relation BDDs. *)
+   Workloads: the n-cell XOR automaton (one conjunct per cell) and the
+   benchmark's SMV families — arbiters, counters and dining
+   philosophers.  Every cell builds its variant on a fresh manager from
+   the same source and times reachability plus every SPEC under
+   fairness; the figure is the median of the repetitions. *)
 
-let run ~full =
-  let sizes = if full then [ 4; 8; 12; 16; 20; 24 ] else [ 4; 8; 12; 16 ] in
-  let rows =
+type source = {
+  name : string;
+  load : unit -> Kripke.t * Bdd.t list * Ctl.t list;
+      (** a fresh model, its transition clusters and its specs *)
+}
+
+let smv name text =
+  {
+    name;
+    load =
+      (fun () ->
+        let c = Smv.load_string text in
+        (c.Smv.Compile.model, c.Smv.Compile.clusters,
+         List.map snd c.Smv.Compile.specs));
+  }
+
+let xor n =
+  {
+    name = Printf.sprintf "xor-%d" n;
+    load =
+      (fun () ->
+        let m, clusters = Workloads.xor_automaton n in
+        (m, clusters, []));
+  }
+
+let sources ~full =
+  let arbiters fair sizes =
     List.map
       (fun n ->
-        let mono, part = Workloads.xor_automaton n in
-        let t_mono = Harness.estimate_ns (fun () -> Kripke.reachable mono) in
-        let t_part = Harness.estimate_ns (fun () -> Kripke.reachable part) in
-        let cluster_sizes =
-          match part.Kripke.pre_schedule with
-          | Some steps ->
-            List.fold_left
-              (fun acc s -> acc + Bdd.size part.Kripke.man s.Kripke.cluster)
-              0 steps
-          | None -> 0
-        in
-        [
-          string_of_int n;
-          string_of_int (Bdd.size mono.Kripke.man mono.Kripke.trans);
-          string_of_int cluster_sizes;
-          Harness.ns_string t_mono;
-          Harness.ns_string t_part;
-        ])
+        smv
+          (Printf.sprintf "arbiter-%s-%d" (if fair then "fair" else "unfair") n)
+          (Workloads.arbiter_smv ~fairness:fair n))
       sizes
   in
+  List.map xor [ 8; 16; 24 ]
+  @ arbiters false (if full then [ 6; 7; 8; 9; 10 ] else [ 6; 8 ])
+  @ arbiters true (if full then [ 6; 7; 8 ] else [ 6 ])
+  @ List.map
+      (fun b -> smv (Printf.sprintf "counter-%d" b) (Workloads.counter_smv b))
+      (if full then [ 10; 11; 12 ] else [ 10 ])
+  @ List.map
+      (fun n ->
+        smv (Printf.sprintf "philosophers-%d" n) (Workloads.philosophers_smv n))
+      (if full then [ 5; 6; 7; 8 ] else [ 5; 6 ])
+
+type variant = Mono | Limit of int | Finest
+
+let variants =
+  [ Mono; Limit 100; Limit Kripke.cluster_limit; Limit 5000; Finest ]
+
+(* The same model over another schedule of the same relation. *)
+let rebuild variant (m : Kripke.t) clusters =
+  let vars = Array.to_list m.Kripke.vars in
+  let partitioned ?limit () =
+    Kripke.make_partitioned ?limit ~man:m.Kripke.man ~vars
+      ~nbits:m.Kripke.nbits ~space:m.Kripke.space ~init:m.Kripke.init
+      ~clusters ~fairness:m.Kripke.fairness ~labels:m.Kripke.labels ()
+  in
+  match variant with
+  | Mono ->
+    Kripke.make ~man:m.Kripke.man ~vars ~nbits:m.Kripke.nbits
+      ~space:m.Kripke.space ~init:m.Kripke.init ~trans:m.Kripke.trans
+      ~fairness:m.Kripke.fairness ~labels:m.Kripke.labels ()
+  | Limit limit -> partitioned ~limit ()
+  | Finest -> partitioned ()
+
+type cell = {
+  clusters : int;     (* image steps conjoining a non-trivial cluster *)
+  largest : int;      (* nodes of the largest cluster *)
+  check_s : float;    (* reachability + every spec, median *)
+  relprod_misses : int;
+}
+
+let measure ~reps src variant =
+  let one () =
+    let m, clusters, specs = src.load () in
+    let m = rebuild variant m clusters in
+    let man = m.Kripke.man in
+    let steps =
+      List.filter
+        (fun s -> not (Bdd.is_one s.Kripke.cluster))
+        m.Kripke.pre_schedule
+    in
+    let before = Bdd.stats man in
+    let (), t =
+      Harness.time_once (fun () ->
+          ignore (Kripke.reachable m);
+          List.iter (fun f -> ignore (Ctl.Fair.holds m f)) specs)
+    in
+    let d = Bdd.diff_stats (Bdd.stats man) before in
+    {
+      clusters = List.length steps;
+      largest =
+        List.fold_left
+          (fun acc s -> max acc (Bdd.size man s.Kripke.cluster))
+          0 steps;
+      check_s = t;
+      relprod_misses = d.Bdd.relprod.Bdd.misses;
+    }
+  in
+  let runs = List.init reps (fun _ -> one ()) in
+  let times = List.sort Float.compare (List.map (fun c -> c.check_s) runs) in
+  { (List.hd runs) with check_s = List.nth times (reps / 2) }
+
+let run ~full =
+  let reps = if full then 3 else 1 in
+  let results =
+    List.map
+      (fun src -> (src, List.map (fun v -> (v, measure ~reps src v)) variants))
+      (sources ~full)
+  in
+  let secs c = Harness.seconds_string c.check_s in
+  let shape c = Printf.sprintf "%d (%d)" c.clusters c.largest in
   Harness.print_table
     ~title:
-      "E9 (ablation): monolithic vs partitioned transition relation (XOR automaton)"
+      "E9 (ablation): image schedules — monolithic vs clustered (default) vs \
+       finest partition"
     ~header:
-      [ "cells"; "mono BDD"; "clusters BDD"; "reach (mono)"; "reach (part)" ]
-    rows;
+      [ "model"; "clusters (largest)"; "mono"; "clustered"; "finest";
+        "speedup"; "relprod misses mono"; "relprod misses clustered" ]
+    (List.map
+       (fun (src, cells) ->
+         let mono = List.assoc Mono cells in
+         let dflt = List.assoc (Limit Kripke.cluster_limit) cells in
+         let fin = List.assoc Finest cells in
+         [
+           src.name; shape dflt; secs mono; secs dflt; secs fin;
+           Printf.sprintf "%.1fx" (mono.check_s /. dflt.check_s);
+           string_of_int mono.relprod_misses;
+           string_of_int dflt.relprod_misses;
+         ])
+       results);
+  Harness.print_table
+    ~title:"E9 (sweep): cluster bound — clusters (largest) and check time"
+    ~header:[ "model"; "limit 100"; "limit 1000"; "limit 5000" ]
+    (List.map
+       (fun (src, cells) ->
+         src.name
+         :: List.map
+              (fun l ->
+                let c = List.assoc (Limit l) cells in
+                Printf.sprintf "%s %s" (shape c) (secs c))
+              [ 100; 1000; 5000 ])
+       results);
   Harness.note
-    "early quantification conjoins one per-cell cluster at a time and";
+    "each image conjoins the clusters in turn and quantifies a variable as";
   Harness.note
-    "eliminates next-state variables as soon as no later cluster mentions";
+    "soon as no later cluster mentions it; merging adjacent conjuncts up to";
   Harness.note
-    "them, keeping intermediate products small as the model grows."
+    "the bound trades fewer steps against larger clusters."
 
 let bechamel =
-  let prepared = lazy (Workloads.xor_automaton 12) in
+  let prepared =
+    lazy
+      (let m, clusters = Workloads.xor_automaton 12 in
+       (rebuild Mono m clusters, m, rebuild Finest m clusters))
+  in
+  let reach pick () =
+    let m = pick (Lazy.force prepared) in
+    Kripke.set_reach_memo m None;
+    Kripke.reachable m
+  in
   Bechamel.Test.make_grouped ~name:"e9-partitioning"
     [
       Bechamel.Test.make ~name:"monolithic"
-        (Bechamel.Staged.stage (fun () ->
-             Kripke.reachable (fst (Lazy.force prepared))));
-      Bechamel.Test.make ~name:"partitioned"
-        (Bechamel.Staged.stage (fun () ->
-             Kripke.reachable (snd (Lazy.force prepared))));
+        (Bechamel.Staged.stage (reach (fun (m, _, _) -> m)));
+      Bechamel.Test.make ~name:"clustered"
+        (Bechamel.Staged.stage (reach (fun (_, m, _) -> m)));
+      Bechamel.Test.make ~name:"finest"
+        (Bechamel.Staged.stage (reach (fun (_, _, m) -> m)));
     ]

@@ -338,8 +338,10 @@ let partitioned_arg =
     value & flag
     & info [ "partitioned" ]
         ~doc:
-          "Use a conjunctively partitioned transition relation with \
-           early quantification for image computation.")
+          "Compute images over the finest partition of the transition \
+           relation, one early-quantification step per conjunct, \
+           instead of the default clusters of adjacent conjuncts \
+           merged up to 1000 BDD nodes.")
 
 let stats_arg =
   Arg.(

@@ -177,15 +177,15 @@ let clusters b =
     in
     conjs @ [ d ]
 
-let build b =
-  let trans = Bdd.conj b.bman (clusters b) in
-  Model.make ~man:b.bman ~vars:(List.rev b.vars) ~nbits:b.nbits
-    ~space:b.space ~init:b.init ~trans ~fairness:b.fairness
-    ~labels:(List.rev b.labels) ()
+(* Seal the model with the clusters' image schedule: size-bounded
+   merged ([limit]) or finest. *)
+let seal ?limit b =
+  Model.make_partitioned ?limit ~man:b.bman ~vars:(List.rev b.vars)
+    ~nbits:b.nbits ~space:b.space ~init:b.init ~clusters:(clusters b)
+    ~fairness:b.fairness ~labels:(List.rev b.labels) ()
 
-let build_partitioned b =
-  let m = build b in
-  Model.with_partition m (clusters b)
+let build b = seal ~limit:Model.cluster_limit b
+let build_partitioned b = seal b
 
 let totalize (m : Model.t) =
   let dead = Model.deadlocks m in

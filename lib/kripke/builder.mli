@@ -99,19 +99,23 @@ val clusters : b -> Bdd.t list
 (** The accumulated transition clusters: every {!add_trans} conjunct
     plus (when any case was added) the disjunction of the
     {!add_trans_case}s as one more cluster.  Their conjunction is the
-    monolithic relation {!build} installs; handing them to
+    relation {!build} installs; handing them to
     {!Model.with_partition} later (e.g. when a recovery ladder degrades
-    to a partitioned relation) avoids re-deriving them. *)
+    to the finest partition) avoids re-deriving them. *)
 
 val build : b -> Model.t
-(** Seal the model.  The builder can keep being used afterwards (e.g.
-    to build a variant), but this is rarely useful. *)
+(** Seal the model.  Images run over the accumulated {!clusters} with
+    early quantification, adjacent clusters merged while their product
+    stays within {!Model.cluster_limit} nodes
+    ({!Model.make_partitioned} with [~limit]); a relation that fits in
+    one cluster keeps the monolithic schedule.  The builder can keep
+    being used afterwards (e.g. to build a variant), but this is rarely
+    useful. *)
 
 val build_partitioned : b -> Model.t
-(** Like {!build}, but install the accumulated [add_trans] conjuncts
-    (plus, if any, the disjunction of the [add_trans_case]s as one
-    extra cluster) as a conjunctively partitioned transition relation
-    with early quantification — see {!Model.with_partition}. *)
+(** Like {!build}, but with the finest partition: every accumulated
+    cluster is an image step of its own ({!Model.make_partitioned}
+    without [limit]). *)
 
 val totalize : Model.t -> Model.t
 (** Add a self-loop to every deadlocked state, making the transition

@@ -28,8 +28,8 @@ type t = {
   space : Bdd.t;
   init : Bdd.t;
   trans : Bdd.t;
-  pre_schedule : schedule_step list option;
-  post_schedule : schedule_step list option;
+  pre_schedule : schedule_step list;
+  post_schedule : schedule_step list;
   fairness : Bdd.t list;
   labels : (string * Bdd.t) list;
   (* Cached fair-EG greatest fixpoint (Ctl.Fair.fair_states): computed
@@ -47,10 +47,8 @@ type t = {
    model record itself is referenced, these diagrams must survive
    [Bdd.gc]. *)
 let roots m =
-  let schedule_roots = function
-    | None -> []
-    | Some steps ->
-      List.concat_map (fun s -> [ s.cluster; s.quant ]) steps
+  let schedule_roots =
+    List.concat_map (fun s -> [ s.cluster; s.quant ])
   in
   (m.space :: m.init :: m.trans :: m.fairness)
   @ List.map snd m.labels
@@ -101,6 +99,13 @@ let nxt_cube_of man nbits = Bdd.cube man (List.init nbits (fun b -> (2 * b) + 1)
 let cur_cube m = cur_cube_of m.man m.nbits
 let nxt_cube m = nxt_cube_of m.man m.nbits
 
+(* The one-cluster schedules of a monolithic relation: a single
+   [and_exists] over the whole next-state (pre) or current-state (post)
+   cube. *)
+let monolithic man nbits trans =
+  ( [ { cluster = trans; quant = nxt_cube_of man nbits } ],
+    [ { cluster = trans; quant = cur_cube_of man nbits } ] )
+
 (* Encoding of "variable (copy) has value index i" as a cube. *)
 let bits_encode man bits ~primed i =
   let lits =
@@ -142,6 +147,7 @@ let make ~man ~vars ~nbits ?space ~init ~trans ?(fairness = []) ?(labels = [])
   in
   let trans = Bdd.conj man [ trans; space; space' ] in
   let init = Bdd.and_ man init space in
+  let pre_schedule, post_schedule = monolithic man nbits trans in
   let fairness = List.map (Bdd.and_ man space) fairness in
   (* Each state bit owns a (current, next) BDD-variable pair; declare
      them so dynamic reordering sifts the pair as one block and never
@@ -150,7 +156,7 @@ let make ~man ~vars ~nbits ?space ~init ~trans ?(fairness = []) ?(labels = [])
   register_roots
     {
       man; vars; nbits; space; init; trans;
-      pre_schedule = None; post_schedule = None;
+      pre_schedule; post_schedule;
       fairness; labels; fair_memo = None; reach_memo = None;
     }
 
@@ -183,50 +189,79 @@ let make_schedule man ~relevant ~all_cube clusters =
       { cluster = c; quant = Bdd.cube man mine } :: schedules cs vss
     | _, _ -> assert false
   in
-  match clusters with
-  | [] -> [ { cluster = Bdd.one man; quant = all_cube } ]
-  | _ :: _ ->
-    let steps = schedules clusters var_sets in
-    (* Relevant variables appearing in no cluster at all (e.g. a frame
-       variable of the operand) must still be eliminated: fold them
-       into a final step. *)
-    let covered = List.concat var_sets in
-    let missing =
-      Bdd.support man all_cube
-      |> List.filter (fun v -> not (List.mem v covered))
-    in
-    if missing = [] then steps
-    else steps @ [ { cluster = Bdd.one man; quant = Bdd.cube man missing } ]
+  let steps = schedules clusters var_sets in
+  (* Relevant variables appearing in no cluster at all (e.g. a frame
+     variable of the operand) must still be eliminated: fold them into
+     a final step. *)
+  let covered = List.concat var_sets in
+  let missing =
+    Bdd.support man all_cube
+    |> List.filter (fun v -> not (List.mem v covered))
+  in
+  if missing = [] then steps
+  else steps @ [ { cluster = Bdd.one man; quant = Bdd.cube man missing } ]
+
+let cluster_limit = 1000
+
+(* Greedy size-bounded clustering (as in NuSMV's image_cluster_size):
+   walk the parts in order and conjoin each into the running cluster
+   while the product stays within [limit] nodes; otherwise close the
+   cluster and start a new one with the part. *)
+let merge_clusters ~limit man parts =
+  let rec go acc = function
+    | [] -> [ acc ]
+    | c :: cs ->
+      let p = Bdd.and_ man acc c in
+      if Bdd.size man p <= limit then go p cs else acc :: go c cs
+  in
+  match parts with [] -> [] | c :: cs -> go c cs
+
+(* The parts a schedule runs, in the order [make] conjoined the
+   relation in: merged prefixes are then the very products that built
+   [trans], so merging a relation that fits in one cluster allocates no
+   node, and node-count triggered reordering fires exactly where it did
+   over [make]. *)
+let schedule_parts ?limit m clusters =
+  let parts =
+    clusters @ [ m.space; Bdd.rename m.man m.space (fun v -> v + 1) ]
+  in
+  match limit with
+  | None -> parts
+  | Some limit -> merge_clusters ~limit m.man parts
+
+let install_schedule m parts =
+  let pre_schedule, post_schedule =
+    match parts with
+    | [ _ ] -> monolithic m.man m.nbits m.trans
+    | _ ->
+      ( make_schedule m.man
+          ~relevant:(fun v -> v mod 2 = 1)
+          ~all_cube:(nxt_cube_of m.man m.nbits)
+          parts,
+        make_schedule m.man
+          ~relevant:(fun v -> v mod 2 = 0)
+          ~all_cube:(cur_cube_of m.man m.nbits)
+          parts )
+  in
+  register_roots { m with pre_schedule; post_schedule }
 
 let with_partition m clusters =
-  let check =
-    Bdd.conj m.man
-      (clusters @ [ m.space; Bdd.rename m.man m.space (fun v -> v + 1) ])
-  in
-  if not (Bdd.equal check m.trans) then
+  let parts = schedule_parts m clusters in
+  if not (Bdd.equal (Bdd.conj m.man parts) m.trans) then
     invalid_arg
       "Kripke.with_partition: clusters do not conjoin to the transition \
        relation";
-  let space' = Bdd.rename m.man m.space (fun v -> v + 1) in
-  let parts = m.space :: space' :: clusters in
-  let pre_schedule =
-    make_schedule m.man
-      ~relevant:(fun v -> v mod 2 = 1)
-      ~all_cube:(nxt_cube_of m.man m.nbits)
-      parts
-  in
-  let post_schedule =
-    make_schedule m.man
-      ~relevant:(fun v -> v mod 2 = 0)
-      ~all_cube:(cur_cube_of m.man m.nbits)
-      parts
-  in
-  register_roots
-    { m with
-      pre_schedule = Some pre_schedule;
-      post_schedule = Some post_schedule }
+  install_schedule m parts
 
-let partitioned m = m.pre_schedule <> None
+let make_partitioned ?limit ~man ~vars ~nbits ?space ~init ~clusters
+    ?fairness ?labels () =
+  let m =
+    make ~man ~vars ~nbits ?space ~init ~trans:(Bdd.conj man clusters)
+      ?fairness ?labels ()
+  in
+  install_schedule m (schedule_parts ?limit m clusters)
+
+let partitioned m = List.compare_length_with m.pre_schedule 1 > 0
 
 (* Deep-copy a model into another manager: every BDD goes through
    [Bdd.transfer] (which reads only immutable node structure, so
@@ -260,27 +295,16 @@ let clone_into dst m =
       space = t m.space;
       init = t m.init;
       trans = t m.trans;
-      pre_schedule = Option.map clone_steps m.pre_schedule;
-      post_schedule = Option.map clone_steps m.post_schedule;
+      pre_schedule = clone_steps m.pre_schedule;
+      post_schedule = clone_steps m.post_schedule;
       fairness = List.map t m.fairness;
       labels = List.map (fun (name, b) -> (name, t b)) m.labels;
       fair_memo = Option.map t m.fair_memo;
       reach_memo = Option.map t m.reach_memo;
     }
 
-let pre m s =
-  match m.pre_schedule with
-  | Some schedule -> image_with_schedule m.man schedule (prime m s)
-  | None ->
-    let s' = prime m s in
-    Bdd.and_exists m.man (nxt_cube m) m.trans s'
-
-let post m s =
-  match m.post_schedule with
-  | Some schedule -> unprime m (image_with_schedule m.man schedule s)
-  | None ->
-    let img = Bdd.and_exists m.man (cur_cube m) m.trans s in
-    unprime m img
+let pre m s = image_with_schedule m.man m.pre_schedule (prime m s)
+let post m s = unprime m (image_with_schedule m.man m.post_schedule s)
 
 let reachable m =
   (* Memoised: the fixpoint depends only on the immutable [init] and
@@ -458,8 +482,8 @@ type skeleton = {
   sk_space : Bdd.t;
   sk_init : Bdd.t;
   sk_trans : Bdd.t;
-  sk_pre : (Bdd.t * Bdd.t) list option;
-  sk_post : (Bdd.t * Bdd.t) list option;
+  sk_pre : (Bdd.t * Bdd.t) list;
+  sk_post : (Bdd.t * Bdd.t) list;
   sk_fairness : Bdd.t list;
   sk_labels : (string * Bdd.t) list;
   sk_fair_memo : Bdd.t option;
@@ -474,8 +498,8 @@ let skeleton m =
     sk_space = m.space;
     sk_init = m.init;
     sk_trans = m.trans;
-    sk_pre = Option.map steps m.pre_schedule;
-    sk_post = Option.map steps m.post_schedule;
+    sk_pre = steps m.pre_schedule;
+    sk_post = steps m.post_schedule;
     sk_fairness = m.fairness;
     sk_labels = m.labels;
     sk_fair_memo = m.fair_memo;
@@ -496,8 +520,8 @@ let of_skeleton ~man sk =
       space = sk.sk_space;
       init = sk.sk_init;
       trans = sk.sk_trans;
-      pre_schedule = Option.map steps sk.sk_pre;
-      post_schedule = Option.map steps sk.sk_post;
+      pre_schedule = steps sk.sk_pre;
+      post_schedule = steps sk.sk_post;
       fairness = sk.sk_fairness;
       labels = sk.sk_labels;
       fair_memo = sk.sk_fair_memo;

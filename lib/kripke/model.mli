@@ -45,9 +45,11 @@ type t = private {
   space : Bdd.t;    (** valid encodings (non-power-of-two domains) *)
   init : Bdd.t;     (** S0, a subset of [space] *)
   trans : Bdd.t;    (** N(v, v'), both endpoints within [space] *)
-  pre_schedule : schedule_step list option;
-      (** when set, {!pre} uses the partitioned relation *)
-  post_schedule : schedule_step list option;
+  pre_schedule : schedule_step list;
+      (** the image schedule {!pre} runs: a single step over [trans]
+          for a monolithic model, one step per cluster for a
+          partitioned one ({!make_partitioned}, {!with_partition}) *)
+  post_schedule : schedule_step list;  (** the same for {!post} *)
   fairness : Bdd.t list;  (** fairness constraints, as state sets *)
   labels : (string * Bdd.t) list;  (** named atomic propositions *)
   mutable fair_memo : Bdd.t option;
@@ -71,29 +73,63 @@ val make :
   t
 (** Assemble a model.  [init] and both endpoints of [trans] are
     conjoined with [space] (default: all encodings valid), and fairness
-    constraints are intersected with [space].  The model's BDDs are
-    registered as garbage-collection roots with [man] (see {!roots} and
-    [Bdd.gc]), so an explicit collection never sweeps them. *)
+    constraints are intersected with [space].  Images run over the
+    monolithic [trans]: one [and_exists] per {!pre}/{!post} (see
+    {!make_partitioned} for the clustered alternative).  The model's
+    BDDs are registered as garbage-collection roots with [man] (see
+    {!roots} and [Bdd.gc]), so an explicit collection never sweeps
+    them. *)
 
 val roots : t -> Bdd.t list
 (** Every BDD the model owns (space, init, transition relation,
     schedules, fairness constraints, labels) — the set {!make} registers
     with [Bdd.add_root]. *)
 
+val cluster_limit : int
+(** Node bound of the size-bounded clustering ({!make_partitioned}
+    [~limit]) that {!Builder.build} and the SMV compiler apply by
+    default: 1000, NuSMV's [image_cluster_size] default. *)
+
 val with_partition : t -> Bdd.t list -> t
 (** [with_partition m clusters] — the same model with image
     computations ({!pre}, {!post}, and hence every checker built on
     them) evaluated over the {e conjunctively partitioned} transition
-    relation [clusters] with early quantification: each cluster is
-    conjoined in turn and the next-state (resp. current-state)
-    variables that appear in no later cluster are quantified out
-    immediately, keeping intermediate BDDs small (the technique of
-    Burch-Clarke-Long used by SMV).  The conjunction of [clusters]
-    must equal the model's monolithic transition relation (within
-    [space]); raises [Invalid_argument] otherwise. *)
+    relation [clusters @ [space; space']] with early quantification:
+    each cluster is conjoined in turn and the next-state (resp.
+    current-state) variables that appear in no later cluster are
+    quantified out immediately, keeping intermediate BDDs small (the
+    technique of Burch-Clarke-Long used by SMV).  Every cluster is a
+    step of its own: the finest partition, [--partitioned].  Images are
+    canonical BDDs, so the schedule changes how fast they are computed,
+    never what they are.  The conjunction of [clusters] must equal the
+    model's transition relation (within [space]); raises
+    [Invalid_argument] otherwise. *)
+
+val make_partitioned :
+  ?limit:int ->
+  man:Bdd.man ->
+  vars:var list ->
+  nbits:int ->
+  ?space:Bdd.t ->
+  init:Bdd.t ->
+  clusters:Bdd.t list ->
+  ?fairness:Bdd.t list ->
+  ?labels:(string * Bdd.t) list ->
+  unit ->
+  t
+(** {!make} over the relation [Bdd.conj clusters], with an image
+    schedule over the clusters as {!with_partition} installs it.
+    Without [limit] that is the finest partition; with [~limit] the
+    parts [clusters @ [space; space']] are walked in order and adjacent
+    ones conjoined while the product has at most [limit] nodes, so each
+    step's cluster is within [limit] unless it is a single part that
+    already exceeded it; if everything merges into one cluster the
+    model keeps {!make}'s monolithic schedule.  The relation is built
+    from the clusters, so unlike {!with_partition} there is nothing to
+    re-validate (that check is a full product on large relations). *)
 
 val partitioned : t -> bool
-(** Is a partitioned schedule installed? *)
+(** Does the image schedule have more than one cluster? *)
 
 val clone_into : Bdd.man -> t -> t
 (** [clone_into dst m] — a deep copy of the model whose every BDD

@@ -19,8 +19,8 @@
     {- [Reorder] — same algorithm after a sifting sweep
        ([Bdd.reorder]) shrinks the tables, before any fidelity is
        given up;}
-    {- [Degraded] — tightened cache limit plus a partitioned
-       transition relation;}
+    {- [Degraded] — tightened cache limit plus, for a model whose
+       relation fits in one cluster, the finest partition;}
     {- [Explicit_state] — the final attempt, taken only when the state
        space fits the explicit bridge.}}
 
@@ -32,7 +32,7 @@ type strategy =
   | Direct          (** plain symbolic attempt *)
   | Gc_retry        (** after [Bdd.gc] + op-cache purge *)
   | Reorder         (** after a [Bdd.reorder] sifting sweep *)
-  | Degraded        (** tightened cache limit + partitioned relation *)
+  | Degraded        (** tightened cache limit + finest partition *)
   | Explicit_state  (** explicit-state fallback via the bridge *)
   | Main_domain     (** re-run of a crashed worker's spec locally *)
 

@@ -9,8 +9,8 @@
     manager carries all of that accumulated warmth.
 
     Compilation options are part of the key because they change the
-    manager's contents: a partitioned compile builds different
-    transition structure, and a static-order compile seeds a
+    manager's contents: a [--partitioned] compile builds a different
+    image schedule, and a static-order compile seeds a
     different variable order.  Keeping them distinct preserves the
     byte-identity guarantee — a request with [reorder = none] must
     see declaration order, never an order some earlier [reorder =

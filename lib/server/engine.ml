@@ -294,9 +294,9 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?prior
             if opts.fair then Ctl.Fair.holds model spec
             else Ctl.Check.holds model spec))
   in
-  (* The degraded representation, built once per spec: partitioned
-     transition relation (from the compiler's clusters) when the model
-     is not already partitioned. *)
+  (* The degraded representation, built once per spec: the finest
+     partition (from the compiler's clusters) when the model's image
+     schedule is a single cluster; a clustered model keeps its own. *)
   let dmodel = ref None in
   let degraded_model () =
     match !dmodel with

@@ -54,8 +54,9 @@ type opts = {
   certify : bool;
       (** ["certify"] / [--certify]: re-validate every emitted trace *)
   partitioned : bool;
-      (** ["partitioned"] / [--partitioned]: compile a conjunctively
-          partitioned transition relation *)
+      (** ["partitioned"] / [--partitioned]: compile the finest
+          partition of the transition relation (one image step per
+          conjunct) instead of the default size-bounded clusters *)
   timeout : float option;  (** ["timeout"] / [--timeout]: seconds per spec *)
   node_limit : int option;  (** ["node_limit"] / [--node-limit] *)
   step_limit : int option;  (** ["step_limit"] / [--step-limit] *)

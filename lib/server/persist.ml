@@ -39,10 +39,10 @@ type counters = { snapshots : int; restores : int; quarantines : int }
 
 (* Bumped whenever the marshalled payload shape changes ("SMVWARM1"
    predates the fair memo in [Kripke.skeleton] carrying an engine tag,
-   "SMVWARM2" carries that tag, "SMVWARM3" is the untagged memo again);
-   a mismatch quarantines the stale file instead of unmarshalling it as
-   garbage. *)
-let magic = "SMVWARM3"
+   "SMVWARM2" carries that tag, "SMVWARM3" is the untagged memo again,
+   "SMVWARM4" has non-optional image schedules); a mismatch quarantines
+   the stale file instead of unmarshalling it as garbage. *)
+let magic = "SMVWARM4"
 let suffix = ".warm"
 
 let warn t fmt =

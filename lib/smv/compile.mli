@@ -24,15 +24,18 @@ type compiled = {
       (** the [DEFINE] macros, for {!compile_expr} *)
   clusters : Bdd.t list;
       (** the transition clusters ({!Kripke.Builder.clusters}), kept so
-          a later degraded retry can install a partitioned relation
+          a later degraded retry can install the finest partition
           ({!Kripke.with_partition}) without recompiling.  Callers that
           hold a [compiled] across a [Bdd.gc] must root them. *)
 }
 
 val compile : ?partitioned:bool -> ?static_order:bool -> Ast.program -> compiled
-(** With [~partitioned:true] the model uses a conjunctively partitioned
-    transition relation with early quantification (one cluster per
-    [next] assignment / [TRANS] constraint) — see
+(** Images run over the transition clusters (one per [next]
+    assignment / [TRANS] constraint, plus one for the process
+    interleaving) with early quantification, adjacent clusters merged
+    while their product stays within {!Kripke.cluster_limit} nodes
+    ({!Kripke.Builder.build}).  With [~partitioned:true] every cluster
+    is a step of its own, the finest partition — see
     {!Kripke.with_partition}.
 
     With [~static_order:true] the BDD variable order is seeded by a

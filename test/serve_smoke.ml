@@ -3,8 +3,9 @@
 
    - byte-identity: N concurrent check requests answer with exactly the
      verdict/trace text and exit code of N one-shot CLI runs;
-   - warm reuse: the second request for a model reports warm = true and
-     reach_reused = true, and allocates almost no new BDD nodes;
+   - warm reuse: the second request for a model, sent once the first
+     has been answered, reports warm = true and reach_reused = true, and
+     allocates almost no new BDD nodes;
    - chaos isolation: a request with an injected fault is answered
      UNDETERMINED, matches the one-shot CLI's --inject output byte for
      byte, and perturbs neither concurrent requests nor later warm
@@ -114,8 +115,9 @@ let check_req ?(options = []) ~id model_src =
     @ if options = [] then [] else [ ("options", Json.Obj options) ])
 
 (* Read replies until every id in [ids] has answered (replies arrive
-   in completion order, not request order). *)
-let collect_replies srv ids =
+   in completion order, not request order).  [on_reply id] runs as each
+   awaited reply arrives, e.g. to send a request that must follow it. *)
+let collect_replies ?(on_reply = ignore) srv ids =
   let pending = Hashtbl.create 8 in
   List.iter (fun id -> Hashtbl.replace pending id ()) ids;
   let replies = Hashtbl.create 8 in
@@ -127,7 +129,8 @@ let collect_replies srv ids =
         (match str "id" v with
         | Some id when Hashtbl.mem pending id ->
           Hashtbl.remove pending id;
-          Hashtbl.replace replies id v
+          Hashtbl.replace replies id v;
+          on_reply id
         | _ -> ());
         go ()
   in
@@ -143,22 +146,23 @@ let test_identity_and_warmth () =
     List.map (fun m -> (m, run_cli [ model_path m ])) models
   in
   let srv = spawn_server [ "--jobs"; "2" ] in
-  (* Two requests per model: the first is cold, the second warm.  All
-     six are in flight together, exercising concurrent scheduling. *)
-  let reqs =
-    List.concat_map
-      (fun m ->
-        let src = read_file (model_path m) in
-        [
-          (m ^ ":cold", check_req ~id:(m ^ ":cold") src
-             ~options:[ ("stats", Json.Bool true) ]);
-          (m ^ ":warm", check_req ~id:(m ^ ":warm") src
-             ~options:[ ("stats", Json.Bool true) ]);
-        ])
-      models
+  (* Two requests per model: the first is cold, the second warm.  The
+     three cold requests are in flight together, exercising concurrent
+     scheduling; each model's warm request is sent once its cold reply
+     has arrived, so it cannot reach a worker first. *)
+  let req m phase =
+    check_req ~id:(m ^ ":" ^ phase)
+      (read_file (model_path m))
+      ~options:[ ("stats", Json.Bool true) ]
   in
-  List.iter (fun (_, r) -> send srv r) reqs;
-  let reply = collect_replies srv (List.map fst reqs) in
+  List.iter (fun m -> send srv (req m "cold")) models;
+  let on_reply id =
+    List.iter (fun m -> if id = m ^ ":cold" then send srv (req m "warm")) models
+  in
+  let reply =
+    collect_replies ~on_reply srv
+      (List.concat_map (fun m -> [ m ^ ":cold"; m ^ ":warm" ]) models)
+  in
   List.iter
     (fun m ->
       let code, out = List.assoc m oneshot in

@@ -106,6 +106,137 @@ let prop_counter_witnesses_survive_partitioning =
           = Ok ())
         (Kripke.states_in part eu))
 
+(* ------------------------------------------------------------------ *)
+(* The default, size-bounded clustered schedule of compiled models. *)
+
+let load name = Smv.load_file (Filename.concat "../examples/models" name)
+
+(* Every committed model, plus 6- and 8-user arbiters with and without
+   fairness, as (name, compiled model). *)
+let schedule_models () =
+  let committed =
+    [ "mutex"; "philosophers"; "cache"; "ring"; "counter12"; "counter26";
+      "arbiter" ]
+    |> List.map (fun n -> (n, load (n ^ ".smv")))
+  in
+  let arbiters =
+    List.concat_map
+      (fun n ->
+        List.map
+          (fun fairness ->
+            ( Printf.sprintf "arbiter-%s-%d"
+                (if fairness then "fair" else "unfair") n,
+              Smv.load_string (Workloads.arbiter_smv ~fairness n) ))
+          [ true; false ])
+      [ 6; 8 ]
+  in
+  committed @ arbiters
+
+(* The parts the compiler's schedule is merged from, in walk order. *)
+let parts_of (c : Smv.Compile.compiled) =
+  let m = c.Smv.Compile.model in
+  c.Smv.Compile.clusters @ [ m.Kripke.space; Kripke.prime m m.Kripke.space ]
+
+(* The clusters an image schedule conjoins (a last all-true step only
+   quantifies variables no cluster mentions). *)
+let schedule_clusters steps =
+  List.filter_map
+    (fun s ->
+      if Bdd.is_one s.Kripke.cluster then None else Some s.Kripke.cluster)
+    steps
+
+let test_merged_clusters () =
+  List.iter
+    (fun (name, c) ->
+      let m = c.Smv.Compile.model in
+      let man = m.Kripke.man in
+      let parts = parts_of c in
+      let merged = schedule_clusters m.Kripke.pre_schedule in
+      Alcotest.(check bool)
+        (name ^ ": pre and post run the same clusters")
+        true
+        (List.equal Bdd.equal merged
+           (schedule_clusters m.Kripke.post_schedule));
+      Alcotest.(check bool)
+        (name ^ ": merged clusters conjoin to trans")
+        true
+        (Bdd.equal (Bdd.conj man merged) m.Kripke.trans);
+      Alcotest.(check bool)
+        (name ^ ": fewer clusters than parts")
+        true
+        (List.length merged < List.length parts);
+      List.iter
+        (fun cl ->
+          Alcotest.(check bool)
+            (name ^ ": cluster within the limit or a single conjunct")
+            true
+            (Bdd.size man cl <= Kripke.cluster_limit
+            || List.exists (Bdd.equal cl) parts))
+        merged;
+      Alcotest.(check bool)
+        (name ^ ": partitioned iff more than one cluster")
+        (List.length merged > 1) (Kripke.partitioned m))
+    (schedule_models ())
+
+let test_counter12_one_cluster () =
+  let m = (load "counter12.smv").Smv.Compile.model in
+  Alcotest.(check int) "a single pre step" 1
+    (List.length m.Kripke.pre_schedule);
+  Alcotest.(check bool) "not partitioned" false (Kripke.partitioned m);
+  Alcotest.(check bool) "the 8-user arbiter is partitioned" true
+    (Kripke.partitioned
+       (Smv.load_string (Workloads.arbiter_smv 8)).Smv.Compile.model)
+
+(* A seeded random state set: a union of a few random partial cubes over
+   the current-state bits. *)
+let random_states m rng =
+  let man = m.Kripke.man in
+  let cube () =
+    List.init m.Kripke.nbits Fun.id
+    |> List.filter_map (fun b ->
+           match Random.State.int rng 3 with
+           | 0 -> Some (Kripke.cur_bit m b)
+           | 1 -> Some (Bdd.not_ man (Kripke.cur_bit m b))
+           | _ -> None)
+    |> Bdd.conj man
+  in
+  Bdd.disj man (List.init (1 + Random.State.int rng 4) (fun _ -> cube ()))
+
+let test_images_match_monolithic () =
+  List.iter
+    (fun (name, c) ->
+      let m = c.Smv.Compile.model in
+      let man = m.Kripke.man in
+      let mono_pre s =
+        Bdd.and_exists man (Kripke.nxt_cube m) m.Kripke.trans (Kripke.prime m s)
+      in
+      let mono_post s =
+        Kripke.unprime m
+          (Bdd.and_exists man (Kripke.cur_cube m) m.Kripke.trans s)
+      in
+      (* counter26's reachable set takes 2^26 images; its operands are
+         the initial state and the random sets only. *)
+      let reach =
+        if name = "counter26" then [] else [ ("reachable", Kripke.reachable m) ]
+      in
+      let rng = Random.State.make [| Hashtbl.hash name |] in
+      let randoms =
+        List.init 20 (fun i ->
+            (Printf.sprintf "random %d" i, random_states m rng))
+      in
+      List.iter
+        (fun (what, s) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: pre on %s" name what)
+            true
+            (Bdd.equal (Kripke.pre m s) (mono_pre s));
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: post on %s" name what)
+            true
+            (Bdd.equal (Kripke.post m s) (mono_post s)))
+        ((("init", m.Kripke.init) :: reach) @ randoms))
+    (schedule_models ())
+
 let suite =
   [
     Alcotest.test_case "images agree" `Quick test_images_agree;
@@ -113,4 +244,10 @@ let suite =
     Alcotest.test_case "SMV partitioned end to end" `Quick test_smv_partitioned_end_to_end;
     prop_partitioned_ctl_agrees;
     prop_counter_witnesses_survive_partitioning;
+    Alcotest.test_case "merged clusters are bounded and exact" `Quick
+      test_merged_clusters;
+    Alcotest.test_case "counter12 is one cluster" `Quick
+      test_counter12_one_cluster;
+    Alcotest.test_case "clustered images = monolithic images" `Quick
+      test_images_match_monolithic;
   ]

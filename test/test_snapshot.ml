@@ -212,8 +212,8 @@ let test_persist_rehydrate_and_quarantine () =
   in
   let p = Persist.create ~dir ~debug:false in
   Alcotest.(check bool) "save" true (Persist.save_entry p ~key ~uses:1 compiled);
-  (* Drop three bad files beside the good one: a truncated copy, a
-     bit-flipped copy, and a file from an older format version.
+  (* Drop four bad files beside the good one: a truncated copy, a
+     bit-flipped copy, and two files from older format versions.
      Rehydration must seed the good entry and quarantine the bad ones
      without raising. *)
   let read path =
@@ -231,34 +231,46 @@ let test_persist_rehydrate_and_quarantine () =
   write (Filename.concat dir "truncated.warm")
     (String.sub blob 0 (String.length blob / 3));
   write (Filename.concat dir "flipped.warm") (flip blob 12);
-  (* The stale file is a valid entry under its own key with only the
-     magic rewound to "SMVWARM2" (its checksum still matches): were it
-     unmarshalled, it would be restored as a second entry. *)
-  let stale_key =
-    Cache.digest ~source:mutex_source ~partitioned:true ~static_order:false
+  (* Each stale file is a valid entry under its own key with only the
+     magic rewound to an older version (its checksum still matches):
+     were it unmarshalled, it would be restored as another entry —
+     and an "SMVWARM3" payload has optional schedules, which the
+     current skeleton type would misread. *)
+  let stale =
+    List.map
+      (fun (old_magic, partitioned, static_order) ->
+        let stale_key =
+          Cache.digest ~source:mutex_source ~partitioned ~static_order
+        in
+        Alcotest.(check bool) ("save stale " ^ old_magic) true
+          (Persist.save_entry p ~key:stale_key ~uses:1 compiled);
+        let path = Filename.concat dir (stale_key ^ ".warm") in
+        let current = read path in
+        write path
+          (old_magic ^ String.sub current 8 (String.length current - 8));
+        (stale_key, path))
+      [ ("SMVWARM2", true, false); ("SMVWARM3", false, true) ]
   in
-  Alcotest.(check bool) "save stale" true
-    (Persist.save_entry p ~key:stale_key ~uses:1 compiled);
-  let stale = Filename.concat dir (stale_key ^ ".warm") in
-  let current = read stale in
-  write stale
-    ("SMVWARM2" ^ String.sub current 8 (String.length current - 8));
   let p' = Persist.create ~dir ~debug:false in
   let cache = Cache.create ~capacity:4 in
   let restored = Persist.rehydrate p' cache in
   Alcotest.(check int) "one entry restored" 1 restored;
-  Alcotest.(check int) "three files quarantined" 3
+  Alcotest.(check int) "four files quarantined" 4
     (Persist.counters p').Persist.quarantines;
   Alcotest.(check bool) "restored entry is warm in the pool" true
     (Cache.is_warm cache ~key);
-  Alcotest.(check bool) "old-format entry not restored" false
-    (Cache.is_warm cache ~key:stale_key);
+  List.iter
+    (fun (stale_key, path) ->
+      Alcotest.(check bool) "old-format entry not restored" false
+        (Cache.is_warm cache ~key:stale_key);
+      Alcotest.(check bool) "old-format file renamed out of the way" true
+        (Sys.file_exists (path ^ ".quarantined")
+        && not (Sys.file_exists path)))
+    stale;
   Alcotest.(check bool) "bad files renamed out of the way" true
     (Sys.file_exists (Filename.concat dir "truncated.warm.quarantined")
     && Sys.file_exists (Filename.concat dir "flipped.warm.quarantined")
-    && Sys.file_exists (stale ^ ".quarantined")
-    && not (Sys.file_exists (Filename.concat dir "truncated.warm"))
-    && not (Sys.file_exists stale));
+    && not (Sys.file_exists (Filename.concat dir "truncated.warm")));
   (* A second rehydrate finds only the good file — quarantined files
      do not come back. *)
   let p'' = Persist.create ~dir ~debug:false in
