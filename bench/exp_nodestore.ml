@@ -1,5 +1,5 @@
 (* E16 — node-store representation: what the unique-table / op-cache
-   layout costs on the declared-order workloads of E13.
+   layout costs on the arbiter and counter workloads of E13.
 
    The packed struct-of-arrays store (PR 8) replaces boxed node records
    behind per-level Hashtbl subtables with int-indexed columns, open
@@ -7,8 +7,10 @@
    fewer words per node, fewer major GCs, faster checks — so this
    experiment measures exactly those, with verdicts pinned:
 
-   1. check_s and peak live nodes on arbiter-N / counter-N in plain
-      declared order (no reordering, the store's own speed undiluted);
+   1. check_s and peak live nodes on arbiter-N / counter-N in the
+      compile-time order with no sifting (the store's own speed
+      undiluted; rows recorded before every model got the proximity
+      order ran in declaration order);
    2. OCaml-heap pressure: major collections during the check and the
       process peak RSS (VmHWM) afterwards;
    3. live heap words per BDD node, measured on a dense random-cube
@@ -161,13 +163,13 @@ let run ~full =
   Harness.print_table
     ~title:
       "E16: node store — check time, GC pressure, heap words per node \
-       (declared order)"
+       (no sifting)"
     ~header:
       [ "workload"; "store"; "check"; "peak nodes"; "majors"; "footprint";
         "verdicts" ]
     rows;
   Harness.note
-    "declared order, no reordering: raw mk/ITE/relprod speed of the store.";
+    "compile-time order, no sifting: raw mk/ITE/relprod speed of the store.";
   Harness.note
     "majors: OCaml major collections during the check; footprint: process";
   Harness.note

@@ -1,22 +1,17 @@
-(* E13 — variable-order sensitivity and dynamic reordering.
+(* E13 — the compile-time proximity order against dynamic sifting.
 
-   Three questions the reordering PR must answer, on the arbiter
-   workload (whose declaration order is deliberately adversarial: all
-   request bits, then all acknowledge bits, then the token, so the
-   transition relation is the textbook exponential copier) and on a
-   binary counter (whose diagrams are nearly order-insensitive, so any
-   cost reordering adds shows up undiluted):
+   Every compiled model gets the dependency-proximity static order;
+   [--reorder auto] adds Rudell sifting whenever live nodes grow past
+   the threshold.  The question this experiment answers per model: does
+   sifting on top of the proximity order shrink the peak enough to pay
+   for its sweeps?  The workloads are the arbiter (whose declaration
+   order is deliberately adversarial: all request bits, then all
+   acknowledge bits, then the token — the proximity order repairs it
+   at compile time), a binary counter (nearly order-insensitive, so
+   any cost sifting adds shows up undiluted) and the dining
+   philosophers (process interleaving over shared forks).
 
-   1. How much does the static interleaved/proximity order
-      (--reorder's compile-time seeding) save over declaration order?
-   2. Does the full --reorder auto pipeline (static seed + sifting at
-      fixpoint checkpoints) at least halve the peak, with identical
-      verdicts?  This is the acceptance gate BENCH_reorder.json
-      records.
-   3. Can sifting alone rescue a bad declaration order at run time
-      (no static seed — the trigger fires mid-check instead)?
-
-   Every configuration must report byte-identical verdicts; only node
+   Both configurations must report identical verdicts; only node
    counts and times may move. *)
 
 (* The round-robin token arbiter of examples/models/arbiter.smv,
@@ -80,113 +75,102 @@ let counter_smv n =
   pf "SPEC AG (b0 -> EF !b0)\n";
   Buffer.contents b
 
-type config = Declared | Static | Auto | Rescue
+(* The scaled philosophers of bench/workloads.ml with a safety and a
+   reachability spec. *)
+let philosophers_smv n =
+  Workloads.philosophers_smv n
+  ^ "SPEC AG !(p0.eating & p1.eating)\n"
+  ^ Printf.sprintf "SPEC EF (%s)\n"
+      (String.concat " & " (List.init n (Printf.sprintf "p%d.st = left")))
 
-let config_name = function
-  | Declared -> "declared"
-  | Static -> "static"
-  | Auto -> "auto"
-  | Rescue -> "rescue"
+type config = Proximity | Auto
 
-(* One measured run: fresh manager, chosen order policy, check every
-   spec sequentially (the CLI's single-job path).  [Auto] mirrors
-   --reorder auto exactly: static seed plus the live-node trigger
-   consumed at fixpoint checkpoints; [Rescue] arms the same trigger on
-   the unseeded declaration order, so any saving is sifting's alone. *)
+let config_name = function Proximity -> "proximity" | Auto -> "auto"
+
+(* One measured run: fresh manager, check every spec sequentially (the
+   CLI's single-job path).  [Proximity] is what [--reorder none] runs;
+   [Auto] mirrors [--reorder auto] at the CLI's default threshold: the
+   live-node trigger consumed at fixpoint checkpoints. *)
 let run_config src config =
-  let static = match config with Static | Auto -> true | _ -> false in
-  let c = Smv.load_string ~static_order:static src in
+  let c = Smv.load_string src in
   let m = c.Smv.Compile.model in
   let man = m.Kripke.man in
-  (match config with
-  | Auto | Rescue -> Bdd.Reorder.set_auto man (Some 1024)
-  | Declared | Static -> ());
   let check () =
     List.map (fun (_, f) -> Ctl.Check.holds m f) c.Smv.Compile.specs
   in
   let verdicts, t =
     Harness.time_once (fun () ->
         match config with
-        | Auto | Rescue -> Bdd.Reorder.with_checkpoints man check
-        | Declared | Static -> check ())
+        | Proximity -> check ()
+        | Auto ->
+          Bdd.Reorder.set_auto man
+            (Some Server.Engine.default_opts.Server.Engine.reorder_threshold);
+          Bdd.Reorder.with_checkpoints man check)
   in
-  let s = Bdd.stats man in
-  (verdicts, t, s)
+  (verdicts, t, Bdd.stats man)
 
 let sweep ~workload src rows =
-  let baseline = ref [] in
-  let peak0 = ref 0 in
-  List.fold_left
-    (fun rows config ->
-      let verdicts, t, s = run_config src config in
-      (match config with
-      | Declared ->
-        baseline := verdicts;
-        peak0 := s.Bdd.peak_nodes
-      | _ ->
-        if verdicts <> !baseline then
-          failwith
-            (Printf.sprintf "E13: %s/%s changed a verdict" workload
-               (config_name config)));
-      Harness.emit_json ~experiment:"E13"
-        [
-          ("workload", Harness.String workload);
-          ("config", Harness.String (config_name config));
-          ("peak_nodes", Harness.Int s.Bdd.peak_nodes);
-          ("live_nodes", Harness.Int s.Bdd.live_nodes);
-          ("reorders", Harness.Int s.Bdd.reorders);
-          ("reorder_ms", Harness.Float s.Bdd.reorder_ms);
-          ("check_s", Harness.Float t);
-          ( "peak_vs_declared",
-            Harness.Float
-              (float_of_int !peak0 /. float_of_int (max 1 s.Bdd.peak_nodes)) );
-          ( "verdicts",
-            Harness.String
-              (String.concat ""
-                 (List.map (fun v -> if v then "T" else "F") verdicts)) );
-        ];
-      rows
-      @ [
-          [
-            workload;
-            config_name config;
-            string_of_int s.Bdd.peak_nodes;
-            Printf.sprintf "%.1fx"
-              (float_of_int !peak0 /. float_of_int (max 1 s.Bdd.peak_nodes));
-            string_of_int s.Bdd.reorders;
-            Harness.seconds_string t;
-          ];
-        ])
-    rows
-    [ Declared; Static; Auto; Rescue ]
+  let p_verdicts, p_t, p = run_config src Proximity in
+  let a_verdicts, a_t, a = run_config src Auto in
+  if p_verdicts <> a_verdicts then
+    failwith (Printf.sprintf "E13: %s: auto changed a verdict" workload);
+  let ratio = float_of_int p.Bdd.peak_nodes /. float_of_int (max 1 a.Bdd.peak_nodes) in
+  Harness.emit_json ~experiment:"E13"
+    [
+      ("workload", Harness.String workload);
+      ("proximity_peak_nodes", Harness.Int p.Bdd.peak_nodes);
+      ("proximity_check_s", Harness.Float p_t);
+      ("auto_peak_nodes", Harness.Int a.Bdd.peak_nodes);
+      ("auto_reorders", Harness.Int a.Bdd.reorders);
+      ("auto_reorder_ms", Harness.Float a.Bdd.reorder_ms);
+      ("auto_check_s", Harness.Float a_t);
+      ("peak_proximity_vs_auto", Harness.Float ratio);
+      ( "verdicts",
+        Harness.String
+          (String.concat ""
+             (List.map (fun v -> if v then "T" else "F") p_verdicts)) );
+    ];
+  rows
+  @ [
+      [
+        workload;
+        string_of_int p.Bdd.peak_nodes;
+        Harness.seconds_string p_t;
+        string_of_int a.Bdd.peak_nodes;
+        string_of_int a.Bdd.reorders;
+        Harness.seconds_string a_t;
+        Printf.sprintf "%.2fx" ratio;
+      ];
+    ]
 
 let run ~full =
-  let arb_users = if full then 10 else 8 in
-  let ctr_bits = if full then 12 else 10 in
-  let rows = sweep ~workload:(Printf.sprintf "arbiter%d" arb_users)
-      (arbiter_smv arb_users) [] in
-  let rows = sweep ~workload:(Printf.sprintf "counter%d" ctr_bits)
-      (counter_smv ctr_bits) rows in
+  let arbs = if full then [ 8; 10 ] else [ 8 ] in
+  let ctrs = if full then [ 10; 12 ] else [ 10 ] in
+  let phils = if full then [ 6; 8 ] else [ 6 ] in
+  let rows =
+    List.fold_left
+      (fun rows (workload, src) -> sweep ~workload src rows)
+      []
+      (List.map (fun n -> (Printf.sprintf "arbiter%d" n, arbiter_smv n)) arbs
+      @ List.map (fun n -> (Printf.sprintf "counter%d" n, counter_smv n)) ctrs
+      @ List.map
+          (fun n -> (Printf.sprintf "philosophers%d" n, philosophers_smv n))
+          phils)
+  in
   Harness.print_table
     ~title:
-      "E13: variable order — declaration order vs static interleaving vs \
-       sifting (identical verdicts enforced)"
-    ~header:[ "workload"; "order"; "peak nodes"; "vs declared"; "sifts"; "check" ]
+      "E13: proximity order vs --reorder auto (identical verdicts enforced)"
+    ~header:
+      [ "workload"; "peak (prox.)"; "check (prox.)"; "peak (auto)"; "sifts";
+        "check (auto)"; "peak ratio" ]
     rows;
   Harness.note
-    "declared: the model's own (adversarial) declaration order, no sifting.";
+    "proximity: the compile-time order every model gets (--reorder none).";
   Harness.note
-    "static: the compile-time interleaved/proximity order (free, no sweeps).";
+    "auto: the same order plus sifting at fixpoint checkpoints whenever live";
   Harness.note
-    "auto: static seed + live-node trigger at fixpoint checkpoints — what";
-  Harness.note
-    "`--reorder auto` runs; the acceptance gate wants peak >= 2x smaller than";
-  Harness.note
-    "declared on the arbiter.  rescue: trigger alone on the unseeded order —";
-  Harness.note
-    "sifting recovering mid-check from a bad static choice.  The counter is";
-  Harness.note
-    "near order-insensitive: its rows bound reordering's overhead, not its win."
+    "nodes pass the CLI's default threshold.  peak ratio > 1 means sifting";
+  Harness.note "shrank the peak."
 
 let bechamel =
   let src = lazy (arbiter_smv 6) in

@@ -132,9 +132,7 @@ let run (opts : Engine.opts) ~jobs ~debug ~crash_worker ~extra_specs
   let* compiled =
     match
       Engine.compile_model ~what:file (fun () ->
-          Smv.load_file ~partitioned:opts.partitioned
-            ~static_order:(opts.reorder <> `None)
-            file)
+          Smv.load_file ~partitioned:opts.partitioned file)
     with
     | result -> result
     | exception Sys_error msg -> Error msg
@@ -146,22 +144,12 @@ let run (opts : Engine.opts) ~jobs ~debug ~crash_worker ~extra_specs
   let (_ : Bdd.root) =
     Bdd.add_root m.Kripke.man (fun () -> main_clusters)
   in
-  (* Dynamic reordering: `once sifts the freshly built model now (on
-     top of the static proximity order both non-none modes seed at
-     compile time); `auto arms the live-node trigger, consumed at the
-     fixpoint checkpoints inside each spec's verdict phase. *)
+  (* Dynamic reordering: `auto arms the live-node trigger, consumed at
+     the fixpoint checkpoints inside each spec's verdict phase, on top
+     of the proximity order every model is compiled with. *)
   (match opts.reorder with
   | `None -> ()
-  | `Once -> (
-    match Bdd.reorder m.Kripke.man with
-    | () -> ()
-    | exception Out_of_memory ->
-      (* Reordering is an optimisation: a failed sweep (real pressure
-         or an injected reorder fault) leaves a consistent manager, so
-         warn and check unsifted. *)
-      Format.eprintf "warning: initial reordering failed; continuing@.")
-  | `Auto ->
-    Bdd.Reorder.set_auto m.Kripke.man (Some opts.reorder_threshold));
+  | `Auto -> Bdd.Reorder.set_auto m.Kripke.man (Some opts.reorder_threshold));
   (match cache_limit with
   | Some _ as limit -> Bdd.set_cache_limit m.Kripke.man limit
   | None -> ());
@@ -193,7 +181,7 @@ let run (opts : Engine.opts) ~jobs ~debug ~crash_worker ~extra_specs
         | `Auto ->
           if Bdd.Reorder.auto_threshold wm.Kripke.man = None then
             Bdd.Reorder.set_auto wm.Kripke.man (Some opts.reorder_threshold)
-        | `None | `Once -> ());
+        | `None -> ());
         let buf = Buffer.create 512 in
         let ppf = Format.formatter_of_buffer buf in
         let clusters () =
@@ -471,14 +459,13 @@ let reorder_arg =
     & opt (enum Engine.reorder_modes) Engine.default_opts.reorder
     & info [ "reorder" ] ~docv:"MODE"
         ~doc:
-          "BDD variable-order optimisation.  $(b,none) (default) keeps \
-           declaration order and is byte-identical to earlier versions; \
-           $(b,once) seeds a dependency-proximity static order at \
-           compile time and runs one Rudell sifting sweep on the built \
-           model; $(b,auto) additionally re-sifts whenever live nodes \
-           grow past --reorder-threshold (the threshold doubles after \
-           each sweep).  Verdicts, traces and exit codes are unchanged \
-           by any mode.")
+          "Dynamic BDD variable reordering.  Every model is compiled \
+           with a dependency-proximity static order; $(b,none) \
+           (default) keeps it, $(b,auto) re-sifts (Rudell) whenever \
+           live nodes grow past --reorder-threshold (the threshold \
+           doubles after each sweep).  Output, traces included, is \
+           byte-identical under either mode: trace states are picked \
+           by bit index, never by variable order.")
 
 let reorder_threshold_arg =
   Arg.(
@@ -589,10 +576,9 @@ let mem_high_water_arg =
         ~doc:
           "With $(b,--serve): arm the memory watchdog.  When the warm \
            pool's total live BDD nodes exceed NODES, the server evicts \
-           idle models, then clamps idle operation caches, and as a \
-           last resort refuses checks of models that are not already \
-           warm (warm models, pings and status probes are still \
-           served).  Default: off.")
+           idle models, and if that is not enough refuses checks of \
+           models that are not already warm (warm models, pings and \
+           status probes are still served).  Default: off.")
 
 let supervise_arg =
   Arg.(
@@ -851,11 +837,11 @@ let cmd =
          $(b,--inject) plants deterministic faults to exercise every \
          rung in CI.";
       `P
-        "Variable order: $(b,--reorder once) seeds a dependency-aware \
-         static order and sifts the built model once; $(b,--reorder \
-         auto) keeps sifting as the tables grow (Rudell's algorithm, \
-         current/next bit pairs moved as blocks).  Orders only change \
-         sizes and times — never verdicts, traces or exit codes.";
+        "Variable order: every model gets a dependency-aware static \
+         order at compile time; $(b,--reorder auto) keeps sifting as \
+         the tables grow (Rudell's algorithm, current/next bit pairs \
+         moved as blocks).  Orders only change sizes and times — \
+         never verdicts, traces or exit codes.";
       `P
         "Parallelism: $(b,--jobs N) checks specifications on N worker \
          domains, each with a private clone of the model in its own \
@@ -882,10 +868,10 @@ let cmd =
          $(b,--default-node-limit) and $(b,--max-timeout) impose \
          server-side budgets on unbudgeted requests; \
          $(b,--mem-high-water) arms a memory watchdog that sheds \
-         cache warmth under pressure (evict idle models, clamp idle \
-         caches, refuse cold models) and recovers when pressure \
-         clears.  $(b,--status) probes a running server's health from \
-         the command line.";
+         cache warmth under pressure (evict idle models, then refuse \
+         cold models) and recovers when pressure clears.  \
+         $(b,--status) probes a running server's health from the \
+         command line.";
       `P
         "Crash-only operation: $(b,--supervise) forks the serve loop \
          under a restarting parent that holds the listening socket \

@@ -902,17 +902,27 @@ let conj m fs = List.fold_left (and_ m) 1 fs
 let disj m fs = List.fold_left (or_ m) 0 fs
 let subset m f g = is_zero (diff m f g)
 
+(* Memoised per call: without the memo a shared node below the root
+   is rebuilt once per path reaching it, which is exponential in the
+   number of levels above [v]. *)
 let restrict m f v b =
   if v < 0 then invalid_arg "Bdd.restrict: negative variable";
   ensure_var m v;
   let vl = m.var2lvl.(v) in
+  let memo = Hashtbl.create 16 in
   let rec go f =
     if f < 2 then f
     else
       let fv = m.n_var.(f) in
       if m.var2lvl.(fv) > vl then f
       else if fv = v then if b then m.n_hi.(f) else m.n_lo.(f)
-      else mk m fv (go m.n_lo.(f)) (go m.n_hi.(f))
+      else
+        match Hashtbl.find_opt memo f with
+        | Some r -> r
+        | None ->
+          let r = mk m fv (go m.n_lo.(f)) (go m.n_hi.(f)) in
+          Hashtbl.add memo f r;
+          r
   in
   go f
 
@@ -1160,39 +1170,6 @@ let sat_count m f n =
   in
   go f *. Float.pow 2.0 (float_of_int (rank_of f))
 
-let any_sat m f =
-  let rec go acc f =
-    if f = 0 then raise Not_found
-    else if f = 1 then acc
-    else
-      let lo = m.n_lo.(f) in
-      if lo = 0 then go ((m.n_var.(f), true) :: acc) m.n_hi.(f)
-      else go ((m.n_var.(f), false) :: acc) lo
-  in
-  (* The diagram walk visits variables in level order; return the cube
-     sorted by variable index so callers see an order-independent
-     result (identical to the historic one under the identity order). *)
-  go [] f |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
-
-let any_sat_total m f ~vars =
-  let partial = any_sat m f in
-  let tbl = Hashtbl.create (2 * List.length partial) in
-  List.iter (fun (v, b) -> Hashtbl.replace tbl v b) partial;
-  let mentioned = Hashtbl.create 16 in
-  let assignment =
-    List.map
-      (fun v ->
-        Hashtbl.replace mentioned v ();
-        (v, match Hashtbl.find_opt tbl v with Some b -> b | None -> false))
-      (List.sort_uniq Stdlib.compare vars)
-  in
-  List.iter
-    (fun (v, _) ->
-      if not (Hashtbl.mem mentioned v) then
-        invalid_arg "Bdd.any_sat_total: support not contained in vars")
-    partial;
-  assignment
-
 let fold_sat m f vars ~init ~f:k =
   let vars_a = Array.of_list vars in
   let nv = Array.length vars_a in
@@ -1203,40 +1180,41 @@ let fold_sat m f vars ~init ~f:k =
     vars_a;
   let pos = Hashtbl.create (2 * nv) in
   Array.iteri (fun i v -> Hashtbl.replace pos v i) vars_a;
-  (* Walk the given variables in *level* order (the diagram's own walk
-     order); [order.(j)] is the position, in the caller's list, of the
-     j-th variable by level.  Under the identity order this enumerates
-     assignments exactly as the historic index-order walk did. *)
-  let order = Array.init nv (fun i -> i) in
-  let order =
-    Array.of_list
-      (List.stable_sort
-         (fun i j ->
-           Stdlib.compare m.var2lvl.(vars_a.(i)) m.var2lvl.(vars_a.(j)))
-         (Array.to_list order))
-  in
-  let assign = Array.make nv false in
-  let rec go acc j f =
-    if f = 0 then acc
-    else if j = nv then if f = 1 then k acc assign else acc
-    else begin
-      let i = order.(j) in
-      let v = vars_a.(i) in
-      let f0 = cof0 m f v and f1 = cof1 m f v in
-      assign.(i) <- false;
-      let acc = go acc (j + 1) f0 in
-      assign.(i) <- true;
-      let acc = go acc (j + 1) f1 in
-      assign.(i) <- false;
-      acc
-    end
-  in
   List.iter
     (fun v ->
       if not (Hashtbl.mem pos v) then
         invalid_arg "Bdd.fold_sat: support not contained in vars")
     (support m f);
-  go init 0 f
+  (* Enumerate along the levels, where a cofactor is one pointer step:
+     [order.(j)] is the position, in the caller's list, of the j-th
+     variable by level.  The assignments are then handed over in the
+     caller's lexicographic order, so what the caller sees does not
+     depend on the manager's order; when the two orders agree the
+     enumeration already is that order and nothing is sorted. *)
+  let order = Array.init nv Fun.id in
+  Array.stable_sort
+    (fun i j -> Stdlib.compare m.var2lvl.(vars_a.(i)) m.var2lvl.(vars_a.(j)))
+    order;
+  let assign = Array.make nv false in
+  let rec go acc j f =
+    if f = 0 then acc
+    else if j = nv then if f = 1 then Array.copy assign :: acc else acc
+    else begin
+      let i = order.(j) in
+      let v = vars_a.(i) in
+      assign.(i) <- false;
+      let acc = go acc (j + 1) (cof0 m f v) in
+      assign.(i) <- true;
+      let acc = go acc (j + 1) (cof1 m f v) in
+      assign.(i) <- false;
+      acc
+    end
+  in
+  let sols = List.rev (go [] 0 f) in
+  let sorted = ref true in
+  Array.iteri (fun j i -> if i <> j then sorted := false) order;
+  let sols = if !sorted then sols else List.sort Stdlib.compare sols in
+  List.fold_left k init sols
 
 (* Cross-manager copy, order-independent.  The fast path copies node
    by node through [mk]: valid whenever the destination order agrees

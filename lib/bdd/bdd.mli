@@ -120,7 +120,8 @@ val subset : man -> t -> t -> bool
 (** {1 Restriction and quantification} *)
 
 val restrict : man -> t -> int -> bool -> t
-(** [restrict m f v b] is f with variable [v] fixed to [b]. *)
+(** [restrict m f v b] is f with variable [v] fixed to [b].  Memoised
+    per call: at most one node is built per node of [f] above [v]. *)
 
 val cube : man -> int list -> t
 (** [cube m vs] is the positive cube over the variables [vs]; used to
@@ -198,32 +199,14 @@ val sat_count : man -> t -> int -> float
     of [f] must be < [n].  Takes the manager because the gap weighting
     walks the current variable order. *)
 
-val any_sat : man -> t -> (int * bool) list
-(** One satisfying {e partial} assignment (the least cube in the
-    manager's current order, preferring [false] branches), as
-    (variable, value) pairs sorted by variable.  Variables on which the cube does not depend
-    (don't-cares) are {e omitted}: any completion of the returned pairs
-    satisfies the diagram.  Callers that need one concrete point must
-    pin the don't-cares themselves or use {!any_sat_total}.  Raises
-    [Not_found] on the constant false. *)
-
-val any_sat_total : man -> t -> vars:int list -> (int * bool) list
-(** [any_sat_total m f ~vars] — one satisfying {e total} assignment over
-    [vars]: the {!any_sat} cube with every unmentioned variable of
-    [vars] pinned to [false] (the lexicographically least satisfying
-    point).  The support of [f] must be contained in [vars]; raises
-    [Invalid_argument] otherwise and [Not_found] on the constant
-    false. *)
-
 val fold_sat :
   man -> t -> int list -> init:'a -> f:('a -> bool array -> 'a) -> 'a
 (** [fold_sat m f vars ~init ~f:k] folds [k] over every total
     assignment to [vars] (given as the positions of a bool array
     parallel to [vars]) that satisfies the diagram.  The support of the
     diagram must be contained in [vars].  Assignments are enumerated in
-    lexicographic order of the variables {e as ranked by the manager's
-    current order} (with [false] < [true]); under the identity order
-    that is lexicographic in the given list. *)
+    lexicographic order of [vars] as given (with [false] < [true]),
+    whatever the manager's current order. *)
 
 val count_nodes : man -> int
 (** Number of nodes ever created in the manager (allocation counter;

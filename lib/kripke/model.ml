@@ -378,34 +378,12 @@ let state_to_bdd m (st : state) =
   in
   Bdd.conj m.man lits
 
-let pick_state m set =
-  let set = Bdd.and_ m.man set m.space in
-  if Bdd.is_zero set then None
-  else begin
-    (* [Bdd.any_sat] returns a partial cube; bits it leaves unmentioned
-       are don't-cares, and pinning a don't-care to [false] stays inside
-       the set, so the result is a genuine single state. *)
-    let partial = Bdd.any_sat m.man set in
-    let st = Array.make m.nbits false in
-    List.iter
-      (fun (v, b) -> if v mod 2 = 0 then st.(v / 2) <- b)
-      partial;
-    (* A state set must constrain current-copy variables only; if the
-       pinned state fell outside the set, the cube required a next-copy
-       variable we cannot represent in a state. *)
-    if not (Bdd.eval m.man set (fun v -> v mod 2 = 0 && st.(v / 2))) then
-      invalid_arg "Kripke.pick_state: set constrains next-state variables";
-    Some st
-  end
-
-(* Uniform random member of a state set, without enumerating it: walk
-   the current-copy bits in order, choosing each bit with probability
-   proportional to the satisfying-assignment count of the corresponding
-   cofactor.  Both cofactors leave the same next-copy variables free,
-   so the counts are proportional to state counts and the result is
-   uniform over the set.  O(nbits * diagram size) — no exponential
-   enumeration, unlike {!states_in}. *)
-let pick_random_state m ~rng set =
+(* One member of a state set, built without enumerating it: walk the
+   current-copy bits in index order, [choose] the value of each from
+   the two cofactors of what is left, and keep the chosen one.  The
+   walk names bits by index and cofactors with {!Bdd.restrict}, so the
+   state picked does not depend on the manager's variable order. *)
+let walk_state m ~what set choose =
   let set = Bdd.and_ m.man set m.space in
   if Bdd.is_zero set then None
   else begin
@@ -414,27 +392,41 @@ let pick_random_state m ~rng set =
     for b = 0 to m.nbits - 1 do
       let v = 2 * b in
       let f0 = Bdd.restrict m.man !cur v false in
-      let f1 = Bdd.restrict m.man !cur v true in
-      let w0 =
-        if Bdd.is_zero f0 then 0.0 else Bdd.sat_count m.man f0 (2 * m.nbits)
-      in
-      let w1 =
-        if Bdd.is_zero f1 then 0.0 else Bdd.sat_count m.man f1 (2 * m.nbits)
-      in
-      let take_true =
-        if w1 = 0.0 then false
-        else if w0 = 0.0 then true
-        else Random.State.float rng (w0 +. w1) < w1
-      in
+      let f1 = lazy (Bdd.restrict m.man !cur v true) in
+      let take_true = choose f0 f1 in
       st.(b) <- take_true;
-      cur := if take_true then f1 else f0
+      cur := if take_true then Lazy.force f1 else f0
     done;
-    (* Same guard as {!pick_state}: a state set must constrain
-       current-copy variables only. *)
+    (* A state set must constrain current-copy variables only; if the
+       pinned state fell outside the set, the set required a next-copy
+       variable we cannot represent in a state. *)
     if not (Bdd.eval m.man set (fun v -> v mod 2 = 0 && st.(v / 2))) then
-      invalid_arg "Kripke.pick_random_state: set constrains next-state variables";
+      invalid_arg
+        (Printf.sprintf "Kripke.%s: set constrains next-state variables" what);
     Some st
   end
+
+(* The least state by bit index: a bit is [true] only when its
+   0-cofactor is empty. *)
+let pick_state m set =
+  walk_state m ~what:"pick_state" set (fun f0 _ -> Bdd.is_zero f0)
+
+(* Uniform random member: each bit is chosen with probability
+   proportional to the satisfying-assignment count of its cofactor.
+   Both cofactors leave the same next-copy variables free, so the
+   counts are proportional to state counts and the result is uniform
+   over the set.  O(nbits * diagram size) — no exponential
+   enumeration, unlike {!states_in}. *)
+let pick_random_state m ~rng set =
+  walk_state m ~what:"pick_random_state" set (fun f0 f1 ->
+      let f1 = Lazy.force f1 in
+      let weight f =
+        if Bdd.is_zero f then 0.0 else Bdd.sat_count m.man f (2 * m.nbits)
+      in
+      let w0 = weight f0 and w1 = weight f1 in
+      if w1 = 0.0 then false
+      else if w0 = 0.0 then true
+      else Random.State.float rng (w0 +. w1) < w1)
 
 let pick_successor m st target =
   let succ = post m (state_to_bdd m st) in

@@ -247,12 +247,16 @@ val state_to_bdd : t -> state -> Bdd.t
     copy). *)
 
 val pick_state : t -> Bdd.t -> state option
-(** A deterministic representative of a state set (lexicographically
-    least within [space]); [None] if the set is empty.  The result is a
-    {e total} assignment: state bits the set does not constrain are
-    pinned to [false], so [state_to_bdd] of the result is always a
-    subset of the set.  Raises [Invalid_argument] if the set constrains
-    next-copy variables (it is then not a state set). *)
+(** A deterministic representative of a state set: the least state
+    within [space] by bit index (bit 0 most significant, [false] <
+    [true]); [None] if the set is empty.  The walk visits the
+    current-copy bits in index order and keeps each bit's 0-cofactor
+    when it is non-empty, so the pick does not depend on the manager's
+    variable order.  The result is a {e total} assignment: state bits
+    the set does not constrain are pinned to [false], so [state_to_bdd]
+    of the result is always a subset of the set.  Raises
+    [Invalid_argument] if the set constrains next-copy variables (it is
+    then not a state set). *)
 
 val pick_random_state : t -> rng:Random.State.t -> Bdd.t -> state option
 (** A uniformly random member of a state set, chosen symbolically (one
@@ -265,7 +269,9 @@ val pick_successor : t -> state -> Bdd.t -> state option
 (** [pick_successor m s target] — a successor of [s] inside [target]. *)
 
 val states_in : t -> Bdd.t -> state list
-(** Enumerate a state set (intended for small sets / tests). *)
+(** Enumerate a state set (intended for small sets / tests), in
+    lexicographic order of the state bits by index, whatever the
+    manager's variable order. *)
 
 val eval_in_state : t -> Bdd.t -> state -> bool
 (** Does a state belong to a (current-copy) set? *)

@@ -9,7 +9,6 @@ type entry = {
   mutable busy : int;
   mutable uses : int;
   mutable last_used : float;
-  mutable clamped : bool;
 }
 
 type t = {
@@ -22,10 +21,8 @@ let create ~capacity =
   if capacity < 1 then invalid_arg "Cache.create: capacity must be >= 1";
   { capacity; table = Hashtbl.create 16; pool_lock = Mutex.create () }
 
-let digest ~source ~partitioned ~static_order =
-  Digest.to_hex
-    (Digest.string
-       (Printf.sprintf "%b|%b|%s" partitioned static_order source))
+let digest ~source ~partitioned ~static_order:_ =
+  Digest.to_hex (Digest.string (Printf.sprintf "%b|%s" partitioned source))
 
 let with_lock mu f =
   Mutex.lock mu;
@@ -63,7 +60,6 @@ let acquire t ~key =
           busy = 0;
           uses = 0;
           last_used = Bdd.now_monotonic ();
-          clamped = false;
         }
       in
       Hashtbl.replace t.table key e;
@@ -91,11 +87,10 @@ let capacity t = t.capacity
    Node counts are plain int-field reads on the entries' managers:
    reading one while a worker domain mutates the manager is benign
    (ints don't tear in OCaml) and the numbers are pressure heuristics,
-   not accounting.  Everything that *mutates* a manager below touches
-   only idle entries while holding the pool lock — an entry with
-   [busy = 0] has no holder, and [acquire] (the only way to gain one)
-   also takes the pool lock, so nothing can start using the manager
-   under our feet. *)
+   not accounting.  Eviction drops only idle entries while holding the
+   pool lock — an entry with [busy = 0] has no holder, and [acquire]
+   (the only way to gain one) also takes the pool lock, so nothing can
+   start using a manager as it leaves the table. *)
 
 let entry_live e =
   match e.compiled with
@@ -138,32 +133,6 @@ let evict_idle_until t ~target =
     idle;
   !evicted
 
-let clamp_idle t ~limit =
-  with_lock t.pool_lock @@ fun () ->
-  Hashtbl.fold
-    (fun _ e acc ->
-      match e.compiled with
-      | Some c when e.busy = 0 && not e.clamped ->
-        let man = c.Smv.Compile.model.Kripke.man in
-        Bdd.set_cache_limit man (Some limit);
-        ignore (Bdd.gc man);
-        e.clamped <- true;
-        acc + 1
-      | _ -> acc)
-    t.table 0
-
-let unclamp_idle t =
-  with_lock t.pool_lock @@ fun () ->
-  Hashtbl.fold
-    (fun _ e acc ->
-      match e.compiled with
-      | Some c when e.busy = 0 && e.clamped ->
-        Bdd.set_cache_limit c.Smv.Compile.model.Kripke.man None;
-        e.clamped <- false;
-        acc + 1
-      | _ -> acc)
-    t.table 0
-
 (* ------------------------------------------------------------------ *)
 (* Warm-state persistence hooks (Persist). *)
 
@@ -190,7 +159,6 @@ let seed t ~key ~compiled =
         busy = 0;
         uses = 0;
         last_used = Bdd.now_monotonic ();
-        clamped = false;
       };
     evict_over_capacity t;
     true
@@ -203,7 +171,6 @@ type info = {
   i_warm : bool;
   i_live : int;
   i_faults : int;
-  i_clamped : bool;
 }
 
 let snapshot t =
@@ -217,7 +184,6 @@ let snapshot t =
         i_warm = e.compiled <> None;
         i_live = entry_live e;
         i_faults = entry_faults e;
-        i_clamped = e.clamped;
       }
       :: acc)
     t.table []

@@ -5,16 +5,16 @@
     construction, the sifted variable order the first request paid
     for, the hot operation caches, and — via [Kripke.reach_memo] —
     the reachable-set fixpoint.  The pool maps a digest of
-    [(source, partitioned, static_order)] to a compiled model whose
-    manager carries all of that accumulated warmth.
+    [(partitioned, source)] to a compiled model whose manager carries
+    all of that accumulated warmth.
 
-    Compilation options are part of the key because they change the
-    manager's contents: a [--partitioned] compile builds a different
-    image schedule, and a static-order compile seeds a
-    different variable order.  Keeping them distinct preserves the
-    byte-identity guarantee — a request with [reorder = none] must
-    see declaration order, never an order some earlier [reorder =
-    auto] request sifted to.
+    [partitioned] is part of the key because a [--partitioned] compile
+    builds a different image schedule.  The variable order is not:
+    every compile seeds the same proximity order, and no output depends
+    on the order ({!Kripke.pick_state} picks by bit index), so a
+    request with [reorder = none] may run on an order some earlier
+    [reorder = auto] request sifted to and still print the same
+    bytes.
 
     Concurrency: a BDD manager is single-domain (hash-consing is not
     thread-safe), so each entry has a lock and requests for the same
@@ -39,9 +39,6 @@ type entry = {
   mutable busy : int;       (** current holders (acquired, not released) *)
   mutable uses : int;       (** total acquisitions, for the reply stats *)
   mutable last_used : float; (** monotonic time of last release *)
-  mutable clamped : bool;
-      (** op-caches clamped by the memory watchdog; {!unclamp_idle}
-          restores them when pressure clears *)
 }
 
 val create : capacity:int -> t
@@ -49,7 +46,9 @@ val create : capacity:int -> t
     (raises [Invalid_argument] when [capacity < 1]). *)
 
 val digest : source:string -> partitioned:bool -> static_order:bool -> string
-(** The pool key for a check request. *)
+(** The pool key for a check request: a digest of [(partitioned,
+    source)].  [static_order] is ignored; the label stays only because
+    the benchmark replay ([perfbench/replay.ml]) still passes it. *)
 
 val acquire : t -> key:string -> entry * bool
 (** Find or insert the entry for [key]; the flag is [true] when the
@@ -69,9 +68,9 @@ val capacity : t -> int
 (** {2 Memory-pressure hooks}
 
     The daemon's watchdog calls these from its periodic tick.  All of
-    them take the pool lock; the mutating ones additionally touch only
+    them take the pool lock; eviction additionally touches only
     {e idle} entries (no holder, and none can appear while the pool
-    lock is held), so they are safe to run concurrently with checks on
+    lock is held), so it is safe to run concurrently with checks on
     other entries. *)
 
 val live_nodes : t -> int
@@ -88,17 +87,6 @@ val evict_idle_until : t -> target:int -> int
 (** Evict idle compiled entries, least-recently-used first, until the
     pool's total live nodes drop to [target] or no idle entry remains;
     returns how many were evicted.  Busy entries are never touched. *)
-
-val clamp_idle : t -> limit:int -> int
-(** Clamp the op-caches of every idle, not-yet-clamped manager to
-    [limit] entries and run a gc on it (reclaiming dead nodes and the
-    oversized caches now, not at the next insert); returns how many
-    managers were clamped.  Verdict-neutral: bounded caches change
-    speed and memory, never results. *)
-
-val unclamp_idle : t -> int
-(** Undo {!clamp_idle} on idle entries (restore unbounded op-caches)
-    once pressure has cleared; returns how many were restored. *)
 
 (** {2 Warm-state persistence hooks} — used by [Persist]. *)
 
@@ -124,7 +112,6 @@ type info = {
   i_warm : bool;      (** compiled model present *)
   i_live : int;       (** live nodes on the entry's manager *)
   i_faults : int;     (** injected faults fired on this manager *)
-  i_clamped : bool;   (** op-caches currently clamped by the watchdog *)
 }
 
 val snapshot : t -> info list

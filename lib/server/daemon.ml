@@ -110,12 +110,12 @@ let apply_defaults cfg (o : Engine.opts) =
 (* Compile into the (locked) cache entry; clusters are rooted for the
    entry's whole life, exactly as the one-shot CLI roots them for the
    run. *)
-let build_entry (entry : Cache.entry) ~partitioned ~static_order source =
+let build_entry (entry : Cache.entry) ~partitioned source =
   match entry.Cache.compiled with
   | Some c -> Ok (c, true)
   | None ->
     Engine.compile_model ~what:"model" (fun () ->
-        Smv.load_string ~partitioned ~static_order source)
+        Smv.load_string ~partitioned source)
     |> Result.map (fun compiled ->
            let m = compiled.Smv.Compile.model in
            let (_ : Bdd.root) =
@@ -125,20 +125,19 @@ let build_entry (entry : Cache.entry) ~partitioned ~static_order source =
            entry.Cache.compiled <- Some compiled;
            (compiled, false))
 
+let pool_key ~model (opts : Engine.opts) =
+  Cache.digest ~source:model ~partitioned:opts.Engine.partitioned
+    ~static_order:false
+
 (* Check one request on its (locked) warm entry.  Returns the reply
    payload; never raises. *)
 let process cache ~id ~model ~specs ~(opts : Engine.opts) ~cancel =
   let t0 = Bdd.now_monotonic () in
-  let static_order = opts.Engine.reorder <> `None in
-  let key =
-    Cache.digest ~source:model ~partitioned:opts.Engine.partitioned
-      ~static_order
-  in
-  let entry, _ = Cache.acquire cache ~key in
+  let entry, _ = Cache.acquire cache ~key:(pool_key ~model opts) in
   Fun.protect ~finally:(fun () -> Cache.release cache entry) @@ fun () ->
   with_lock entry.Cache.lock @@ fun () ->
   match
-    build_entry entry ~partitioned:opts.Engine.partitioned ~static_order model
+    build_entry entry ~partitioned:opts.Engine.partitioned model
   with
   | Error msg -> Protocol.error_reply ~id msg
   | Ok (compiled, warm) -> (
@@ -153,17 +152,11 @@ let process cache ~id ~model ~specs ~(opts : Engine.opts) ~cancel =
     let stats_before = Bdd.stats man in
     Bdd.reset_peak man;
     (match opts.Engine.reorder with
-    | `None | `Once -> ()
+    | `None -> ()
     | `Auto -> Bdd.Reorder.set_auto man (Some opts.Engine.reorder_threshold));
     Fun.protect ~finally:(fun () -> Bdd.Reorder.set_auto man None)
     @@ fun () ->
     match
-      (* An initial sweep for a cold `once entry; a warm one is
-         already sifted and a repeat sweep is a cheap no-op settle. *)
-      (match opts.Engine.reorder with
-      | `Once when not warm -> (
-        match Bdd.reorder man with () -> () | exception Out_of_memory -> ())
-      | _ -> ());
       let reach_reused = Kripke.reach_memo m <> None in
       (* Extra specs are request data, and a request must never be
          able to raise on a worker: the first one that does not
@@ -273,7 +266,6 @@ let send_status cfg cache pool ov persist conn =
             ms_uses = i.Cache.i_uses;
             ms_warm = i.Cache.i_warm;
             ms_live_nodes = i.Cache.i_live;
-            ms_clamped = i.Cache.i_clamped;
           })
       infos
   in
@@ -290,7 +282,6 @@ let send_status cfg cache pool ov persist conn =
            ss_shed_inflight = s.Overload.shed_inflight;
            ss_shed_cold = s.Overload.shed_cold;
            ss_watchdog_evictions = s.Overload.evictions;
-           ss_cache_clamps = s.Overload.clamps;
            ss_level_transitions = s.Overload.transitions;
            ss_pressure_level = s.Overload.level;
            ss_mem_live_nodes = mem_live;
@@ -364,13 +355,7 @@ let handle_request cfg cache pool ov persist conn stop payload =
     | `Admitted ->
       let refuse_cold =
         (not (Overload.admit_cold ov))
-        &&
-        let static_order = options.Engine.reorder <> `None in
-        let key =
-          Cache.digest ~source:model ~partitioned:options.Engine.partitioned
-            ~static_order
-        in
-        not (Cache.is_warm cache ~key)
+        && not (Cache.is_warm cache ~key:(pool_key ~model options))
       in
       if refuse_cold then begin
         drop_id ();

@@ -39,8 +39,8 @@
        honoured as-is);}
     {- [mem_high_water] arms the {!Overload} memory watchdog: on the
        daemon's periodic tick it measures total live BDD nodes across
-       the warm pool and, over the mark, evicts idle models, clamps
-       idle op-caches, and finally refuses cold-model admissions;}
+       the warm pool and, over the mark, evicts idle models, and if
+       that is not enough refuses cold-model admissions;}
     {- the ["status"] op (and the {!status_client} one-shot) reports
        all of it — answered inline by the reader, never queued behind
        checks.}} *)

@@ -21,7 +21,7 @@ type opts = {
   retries : int;
   retry_factor : float;
   inject : (Bdd.Fault.site * int) option;
-  reorder : [ `None | `Once | `Auto ];
+  reorder : [ `None | `Auto ];
   reorder_threshold : int;
 }
 
@@ -42,7 +42,7 @@ let default_opts =
     reorder_threshold = 4096;
   }
 
-let reorder_modes = [ ("none", `None); ("once", `Once); ("auto", `Auto) ]
+let reorder_modes = [ ("none", `None); ("auto", `Auto) ]
 
 (* Messages name the CLI flag and the request key: the same check
    guards both decoders. *)

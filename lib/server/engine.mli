@@ -38,8 +38,9 @@ type report = { verdict : verdict; cert_failed : bool }
     option-less request check alike.  Each field below is given as
     JSON key / CLI flag; on the wire a [bool] is a JSON boolean, an
     [int] or [float] a number, and [reorder] and [inject] are strings
-    spelled as on the CLI.  [partitioned] and [reorder] shape the
-    model the caller compiles; the rest steer {!check_one}. *)
+    spelled as on the CLI.  [partitioned] shapes the model the caller
+    compiles and [reorder] arms its sifting; the rest steer
+    {!check_one}. *)
 type opts = {
   fair : bool;
       (** ["fair"] / [--no-fairness] (negated): honour FAIRNESS
@@ -65,7 +66,7 @@ type opts = {
   inject : (Bdd.Fault.site * int) option;
       (** ["inject"] / [--inject SITE:COUNT]: arm a fault for every
           checked spec, disarmed again on exit *)
-  reorder : [ `None | `Once | `Auto ];  (** ["reorder"] / [--reorder] *)
+  reorder : [ `None | `Auto ];  (** ["reorder"] / [--reorder] *)
   reorder_threshold : int;  (** ["reorder_threshold"] / [--reorder-threshold] *)
 }
 
@@ -73,7 +74,7 @@ val default_opts : opts
 (** The flag defaults: fair, traces on, everything else
     off or unbounded, [retry_factor = 2.0], [reorder_threshold = 4096]. *)
 
-val reorder_modes : (string * [ `None | `Once | `Auto ]) list
+val reorder_modes : (string * [ `None | `Auto ]) list
 (** The [reorder] values by name, as both front ends spell them. *)
 
 val validate_opts : opts -> (unit, string) result

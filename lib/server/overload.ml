@@ -18,8 +18,6 @@ type stats = {
   shed_inflight : int;
   shed_cold : int;
   evictions : int;
-  clamps : int;
-  unclamps : int;
   transitions : int;
   avg_check_s : float option;
 }
@@ -36,13 +34,11 @@ type t = {
   mutable dnext : int;
   mutable dsum : float;
   mutable inflight_n : int;
-  mutable level_n : int;  (* 0 normal … 3 refusing cold admissions *)
+  mutable level_n : int;  (* 0 normal, 1 evicting, 2 refusing cold *)
   mutable shed_queue_n : int;
   mutable shed_inflight_n : int;
   mutable shed_cold_n : int;
   mutable evictions_n : int;
-  mutable clamps_n : int;
-  mutable unclamps_n : int;
   mutable transitions_n : int;
 }
 
@@ -71,8 +67,6 @@ let create ?mem_high_water
     shed_inflight_n = 0;
     shed_cold_n = 0;
     evictions_n = 0;
-    clamps_n = 0;
-    unclamps_n = 0;
     transitions_n = 0;
   }
 
@@ -115,16 +109,13 @@ let shed t reason =
   | Inflight_cap -> t.shed_inflight_n <- t.shed_inflight_n + 1
   | Memory_pressure -> t.shed_cold_n <- t.shed_cold_n + 1
 
-let admit_cold t = with_lock t.lock @@ fun () -> t.level_n < 3
+let admit_cold t = with_lock t.lock @@ fun () -> t.level_n < 2
 
 let level t = with_lock t.lock @@ fun () -> t.level_n
-
-let clamp_limit = 8192
 
 let level_name = function
   | 0 -> "normal"
   | 1 -> "evicting idle models"
-  | 2 -> "op-caches clamped"
   | _ -> "refusing cold admissions"
 
 let set_level t ~live ~hw level' =
@@ -140,24 +131,20 @@ let set_level t ~live ~hw level' =
   end
 
 (* One watchdog tick.  Rung order under pressure: evict idle LRU
-   entries, then clamp + gc idle op-caches, and only if the pool is
-   still over water refuse cold-model admissions.  When pressure
-   clears the clamps are undone and the level drops back to 0.  The
-   caller guarantees single-threaded ticks (the accept loop or the
-   stdio timer thread); this function only ever blocks other threads
-   for the duration of one Cache operation. *)
+   entries, and only if the pool is still over water refuse cold-model
+   admissions.  Eviction leaves no idle compiled entry while the pool
+   is over water, so a rung acting on idle managers after it (such as
+   shrinking their op-caches) would find nothing to act on.  When
+   pressure clears the level drops back to 0.  The caller guarantees
+   single-threaded ticks (the accept loop or the stdio timer thread);
+   this function only ever blocks other threads for the duration of
+   one Cache operation. *)
 let watchdog t cache =
   match t.mem_high_water with
   | None -> ()
   | Some hw ->
     let live = Cache.live_nodes cache in
-    if live <= hw then begin
-      if with_lock t.lock (fun () -> t.level_n >= 2) then begin
-        let n = Cache.unclamp_idle cache in
-        with_lock t.lock (fun () -> t.unclamps_n <- t.unclamps_n + n)
-      end;
-      set_level t ~live ~hw 0
-    end
+    if live <= hw then set_level t ~live ~hw 0
     else begin
       let evicted = Cache.evict_idle_until cache ~target:hw in
       if evicted > 0 then begin
@@ -169,19 +156,7 @@ let watchdog t cache =
         Gc.full_major ()
       end;
       let live1 = Cache.live_nodes cache in
-      let clamped =
-        if live1 > hw then Cache.clamp_idle cache ~limit:clamp_limit else 0
-      in
-      if clamped > 0 then
-        with_lock t.lock (fun () -> t.clamps_n <- t.clamps_n + clamped);
-      let live2 = if clamped > 0 then Cache.live_nodes cache else live1 in
-      let level' =
-        if live2 > hw then 3
-        else if clamped > 0 || with_lock t.lock (fun () -> t.level_n >= 2)
-        then 2
-        else 1
-      in
-      set_level t ~live:live2 ~hw level'
+      set_level t ~live:live1 ~hw (if live1 > hw then 2 else 1)
     end
 
 let stats t =
@@ -194,8 +169,6 @@ let stats t =
     shed_inflight = t.shed_inflight_n;
     shed_cold = t.shed_cold_n;
     evictions = t.evictions_n;
-    clamps = t.clamps_n;
-    unclamps = t.unclamps_n;
     transitions = t.transitions_n;
     avg_check_s =
       (if t.dcount = 0 then None else Some (t.dsum /. float_of_int t.dcount));

@@ -19,11 +19,11 @@
        against the high-water mark.  Over the mark it walks a
        degradation ladder at server granularity — mirroring the
        per-request [Robust.Ladder], but trading {e warmth} instead of
-       fidelity: (1) evict idle LRU cache entries, (2) clamp idle
-       managers' op-caches and gc them, (3) refuse cold-model
-       admissions (warm models, [ping] and [status] are still served).
-       Every level transition is logged and counted; when pressure
-       clears the clamps are restored and the level returns to 0.}
+       fidelity: (1) evict idle LRU cache entries, (2) if the pool is
+       still over the mark, refuse cold-model admissions (warm models,
+       [ping] and [status] are still served).  Every level transition
+       is logged and counted; when pressure clears the level returns
+       to 0.}
     {- {b Introspection.}  {!stats} snapshots every counter for the
        [status] reply, so load balancers and CI can see queue depth,
        shed totals and the current degradation level from outside.}}
@@ -48,7 +48,7 @@ val create :
 type shed_reason =
   | Queue_full        (** pool pending queue at [max_pending] *)
   | Inflight_cap      (** connection at its in-flight cap *)
-  | Memory_pressure   (** watchdog level 3 refused a cold model *)
+  | Memory_pressure   (** watchdog level 2 refused a cold model *)
 
 val reason_string : shed_reason -> string
 (** The wire name: ["queue"], ["inflight"], ["memory"]. *)
@@ -87,11 +87,12 @@ val watchdog : t -> Cache.t -> unit
     No-op without [mem_high_water].  Call from one thread at a time. *)
 
 val admit_cold : t -> bool
-(** False exactly at degradation level 3: a check for a model that is
+(** False exactly at degradation level 2: a check for a model that is
     not already warm must be shed with {!Memory_pressure}. *)
 
 val level : t -> int
-(** Current degradation level, 0–3. *)
+(** Current degradation level: 0 normal, 1 evicting idle models, 2
+    refusing cold admissions. *)
 
 (** {2 Introspection} *)
 
@@ -103,8 +104,6 @@ type stats = {
   shed_inflight : int;
   shed_cold : int;
   evictions : int;           (** watchdog cache-entry evictions *)
-  clamps : int;              (** managers whose op-caches were clamped *)
-  unclamps : int;            (** clamps restored after pressure cleared *)
   transitions : int;         (** watchdog level changes *)
   avg_check_s : float option;
 }

@@ -37,12 +37,13 @@ type t = {
 
 type counters = { snapshots : int; restores : int; quarantines : int }
 
-(* Bumped whenever the marshalled payload shape changes ("SMVWARM1"
-   predates the fair memo in [Kripke.skeleton] carrying an engine tag,
-   "SMVWARM2" carries that tag, "SMVWARM3" is the untagged memo again,
-   "SMVWARM4" has non-optional image schedules); a mismatch quarantines
-   the stale file instead of unmarshalling it as garbage. *)
-let magic = "SMVWARM4"
+(* Bumped whenever the marshalled payload or its pool key changes
+   ("SMVWARM1" predates the fair memo in [Kripke.skeleton] carrying an
+   engine tag, "SMVWARM2" carries that tag, "SMVWARM3" is the untagged
+   memo again, "SMVWARM4" has non-optional image schedules, "SMVWARM5"
+   is keyed by [(partitioned, source)] with no order bit); a mismatch
+   quarantines the stale file instead of unmarshalling it as garbage. *)
+let magic = "SMVWARM5"
 let suffix = ".warm"
 
 let warn t fmt =

@@ -57,7 +57,7 @@ let parse_options json =
           | Some reorder -> Ok { o with Engine.reorder }
           | None ->
             Error
-              (Printf.sprintf "%S: unknown mode (none, once or auto) %S" key s))
+              (Printf.sprintf "%S: unknown mode (none or auto) %S" key s))
     | "inject" ->
       field Json.to_str "a string" (fun s ->
           match Engine.parse_inject s with
@@ -211,7 +211,6 @@ type model_status = {
   ms_uses : int;
   ms_warm : bool;
   ms_live_nodes : int;
-  ms_clamped : bool;
 }
 
 type server_status = {
@@ -224,7 +223,6 @@ type server_status = {
   ss_shed_inflight : int;
   ss_shed_cold : int;
   ss_watchdog_evictions : int;
-  ss_cache_clamps : int;
   ss_level_transitions : int;
   ss_pressure_level : int;
   ss_mem_live_nodes : int;
@@ -257,7 +255,6 @@ let status_reply s =
                ("uses", Num (float_of_int m.ms_uses));
                ("warm", Bool m.ms_warm);
                ("live_nodes", Num (float_of_int m.ms_live_nodes));
-               ("clamped", Bool m.ms_clamped);
              ])
          s.ss_models)
   in
@@ -282,7 +279,6 @@ let status_reply s =
                ("shed_cold", Num (float_of_int s.ss_shed_cold));
                ( "watchdog_evictions",
                  Num (float_of_int s.ss_watchdog_evictions) );
-               ("cache_clamps", Num (float_of_int s.ss_cache_clamps));
                ( "level_transitions",
                  Num (float_of_int s.ss_level_transitions) );
                ("snapshots", Num (float_of_int s.ss_snapshots));

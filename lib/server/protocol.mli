@@ -106,7 +106,6 @@ type model_status = {
   ms_uses : int;
   ms_warm : bool;
   ms_live_nodes : int;
-  ms_clamped : bool;
 }
 
 (** Everything the ["status"] op reports; the daemon assembles it from
@@ -121,7 +120,6 @@ type server_status = {
   ss_shed_inflight : int;
   ss_shed_cold : int;
   ss_watchdog_evictions : int;
-  ss_cache_clamps : int;
   ss_level_transitions : int;
   ss_pressure_level : int;
   ss_mem_live_nodes : int;

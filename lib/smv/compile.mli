@@ -29,7 +29,7 @@ type compiled = {
           hold a [compiled] across a [Bdd.gc] must root them. *)
 }
 
-val compile : ?partitioned:bool -> ?static_order:bool -> Ast.program -> compiled
+val compile : ?partitioned:bool -> Ast.program -> compiled
 (** Images run over the transition clusters (one per [next]
     assignment / [TRANS] constraint, plus one for the process
     interleaving) with early quantification, adjacent clusters merged
@@ -38,13 +38,14 @@ val compile : ?partitioned:bool -> ?static_order:bool -> Ast.program -> compiled
     is a step of its own, the finest partition — see
     {!Kripke.with_partition}.
 
-    With [~static_order:true] the BDD variable order is seeded by a
-    dependency-graph proximity heuristic instead of declaration order:
-    variables co-occurring in small constraints are placed adjacently
-    (greedy max-adjacency over co-occurrence weights [1/(k-1)]),
-    current/next bit pairs stay interleaved
-    ({!Kripke.Builder.seed_order}).  Off by default — the default
-    output stays bit-identical to declaration order. *)
+    The BDD variable order is seeded by a dependency-graph proximity
+    heuristic before any constraint is built: variables co-occurring in
+    small constraints are placed adjacently (greedy max-adjacency over
+    co-occurrence weights [1/(k-1)], declaration order breaking ties),
+    and current/next bit pairs stay interleaved
+    ({!Kripke.Builder.seed_order}).  Output does not depend on it:
+    states are picked by bit index ({!Kripke.pick_state}), never by
+    level. *)
 
 val compile_expr : compiled -> string -> Ctl.t
 (** Parse and compile an additional specification against a compiled

@@ -131,6 +131,25 @@ let test_restrict () =
   let f1 = Bdd.restrict man f 0 true in
   Alcotest.(check bool) "f|x0=1 is ~x1" true (Bdd.equal f1 (Bdd.nvar man 1))
 
+(* Restricting the bottom variable of a wide parity function: every
+   node above it is reached by exponentially many paths, so a restrict
+   without a memo makes far more [mk] calls than the diagram has
+   nodes.  The armed fault allows a few times the diagram's size. *)
+let test_restrict_memoised () =
+  let m = Bdd.create () in
+  let n = 40 in
+  let parity k =
+    List.fold_left (fun acc v -> Bdd.xor m acc (Bdd.var m v)) (Bdd.zero m)
+      (List.init k Fun.id)
+  in
+  let f = parity n in
+  Bdd.Fault.arm m ~site:Bdd.Fault.Mk ~after:(4 * Bdd.size m f);
+  let r = Bdd.restrict m f (n - 1) true in
+  Bdd.Fault.disarm m;
+  Alcotest.(check int) "no fault fired" 0 (Bdd.Fault.fired m);
+  Alcotest.(check bool) "f|x(n-1)=1 is the negated lower parity" true
+    (Bdd.equal r (Bdd.not_ m (parity (n - 1))))
+
 let test_exists_unit () =
   (* exists x0. (x0 /\ x1) = x1 *)
   let f = Bdd.and_ man (Bdd.var man 0) (Bdd.var man 1) in
@@ -154,13 +173,6 @@ let test_sat_count_bad_universe () =
   Alcotest.check_raises "support exceeds universe"
     (Invalid_argument "Bdd.sat_count: support exceeds variable universe")
     (fun () -> ignore (Bdd.sat_count man (Bdd.var man 5) 3))
-
-let test_any_sat () =
-  let f = Bdd.and_ man (Bdd.nvar man 0) (Bdd.var man 2) in
-  let a = Bdd.any_sat man f in
-  Alcotest.(check (list (pair int bool))) "least cube" [ (0, false); (2, true) ] a;
-  Alcotest.check_raises "any_sat false" Not_found (fun () ->
-      ignore (Bdd.any_sat man (Bdd.zero man)))
 
 let test_fold_sat () =
   let f = Bdd.xor man (Bdd.var man 0) (Bdd.var man 1) in
@@ -285,15 +297,6 @@ let prop_sat_count =
       done;
       Float.abs (Bdd.sat_count man f nvars -. float_of_int !count) < 1e-9)
 
-let prop_any_sat =
-  prop "any_sat returns a satisfying cube" expr_gen (fun e ->
-      let f = bdd_of_expr e in
-      if Bdd.is_zero f then true
-      else
-        let a = Bdd.any_sat man f in
-        Bdd.eval man f (fun v ->
-            match List.assoc_opt v a with Some b -> b | None -> false))
-
 let prop_fold_sat_count =
   prop "fold_sat enumerates exactly the models" expr_gen (fun e ->
       let f = bdd_of_expr e in
@@ -335,10 +338,10 @@ let suite =
     Alcotest.test_case "empty cube" `Quick test_empty_cube;
     Alcotest.test_case "conj/disj" `Quick test_conj_disj;
     Alcotest.test_case "restrict" `Quick test_restrict;
+    Alcotest.test_case "restrict is memoised" `Quick test_restrict_memoised;
     Alcotest.test_case "exists/forall" `Quick test_exists_unit;
     Alcotest.test_case "sat_count" `Quick test_sat_count_unit;
     Alcotest.test_case "sat_count bad universe" `Quick test_sat_count_bad_universe;
-    Alcotest.test_case "any_sat" `Quick test_any_sat;
     Alcotest.test_case "fold_sat" `Quick test_fold_sat;
     Alcotest.test_case "rename swap" `Quick test_rename_swap;
     Alcotest.test_case "rename shift" `Quick test_rename_shift;
@@ -354,7 +357,6 @@ let suite =
     prop_and_exists;
     prop_rename_eval;
     prop_sat_count;
-    prop_any_sat;
     prop_fold_sat_count;
     prop_subset;
     prop_support_sound;
@@ -505,22 +507,6 @@ let test_with_root () =
   ignore (Bdd.gc m : int);
   Alcotest.(check int) "swept after with_root returns" 0 (Bdd.live_nodes m)
 
-let test_any_sat_total () =
-  let f = Bdd.and_ man (Bdd.nvar man 0) (Bdd.var man 2) in
-  let a = Bdd.any_sat_total man f ~vars:[ 0; 1; 2; 3 ] in
-  Alcotest.(check (list (pair int bool))) "total, don't-cares pinned false"
-    [ (0, false); (1, false); (2, true); (3, false) ]
-    a;
-  Alcotest.(check (list (pair int bool))) "tautology over two vars"
-    [ (0, false); (1, false) ]
-    (Bdd.any_sat_total man (Bdd.one man) ~vars:[ 1; 0 ]);
-  Alcotest.check_raises "support must be covered"
-    (Invalid_argument "Bdd.any_sat_total: support not contained in vars")
-    (fun () -> ignore (Bdd.any_sat_total man f ~vars:[ 0; 1 ]));
-  Alcotest.check_raises "constant false"
-    Not_found
-    (fun () -> ignore (Bdd.any_sat_total man (Bdd.zero man) ~vars:[ 0 ]))
-
 let stats_suite =
   [
     Alcotest.test_case "stats counters" `Quick test_stats_counters;
@@ -528,7 +514,6 @@ let stats_suite =
     Alcotest.test_case "eviction canonicity" `Quick test_eviction_canonicity;
     Alcotest.test_case "gc" `Quick test_gc;
     Alcotest.test_case "with_root" `Quick test_with_root;
-    Alcotest.test_case "any_sat_total" `Quick test_any_sat_total;
   ]
 
 let suite = suite @ constrain_suite @ stats_suite

@@ -337,6 +337,33 @@ let test_sift_preserves_validated_trace () =
   Alcotest.(check bool) "re-explained trace validates" true
     (Counterex.Validate.path_ok m tr2 = Ok ())
 
+(* Trace states and enumerations name states by bit index, so a new
+   variable order must not move them: the least reachable state, a
+   seeded random one and the enumeration order all survive reversing
+   the order. *)
+let test_picks_ignore_order () =
+  let m = (Models.mutex ()).Models.m in
+  let man = m.Kripke.man in
+  let reach = Kripke.reachable m in
+  let observe () =
+    ( Kripke.pick_state m reach,
+      Kripke.pick_random_state m ~rng:(Random.State.make [| 7 |]) reach,
+      Kripke.states_in m reach )
+  in
+  let before = observe () in
+  let reversed = Array.of_list (List.rev (Array.to_list (Bdd.Reorder.order man))) in
+  Bdd.with_root man (fun () -> [ reach ]) (fun () ->
+      Bdd.Reorder.set_order man reversed);
+  Alcotest.(check bool) "order reversed" true
+    (Bdd.Reorder.order man = reversed);
+  let ((least, _, states) as after) = observe () in
+  Alcotest.(check bool) "more than one reachable state" true
+    (List.length states > 1);
+  Alcotest.(check bool) "least state is the first enumerated" true
+    (least = Some (List.hd states));
+  Alcotest.(check bool) "picks and enumeration unchanged" true
+    (before = after)
+
 let suite =
   [
     prop_swaps_preserve_eval;
@@ -363,4 +390,6 @@ let suite =
       test_reorder_fault_site;
     Alcotest.test_case "sifting preserves validated traces" `Quick
       test_sift_preserves_validated_trace;
+    Alcotest.test_case "picks and enumeration ignore the order" `Quick
+      test_picks_ignore_order;
   ]

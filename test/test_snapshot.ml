@@ -235,12 +235,15 @@ let test_persist_rehydrate_and_quarantine () =
      magic rewound to an older version (its checksum still matches):
      were it unmarshalled, it would be restored as another entry —
      and an "SMVWARM3" payload has optional schedules, which the
-     current skeleton type would misread. *)
+     current skeleton type would misread, while an "SMVWARM4" file
+     sits under a key that still carried a variable-order bit.  The
+     keys are digests of distinct stand-in sources, so no stale file
+     overwrites the good one. *)
   let stale =
     List.map
-      (fun (old_magic, partitioned, static_order) ->
+      (fun (old_magic, partitioned) ->
         let stale_key =
-          Cache.digest ~source:mutex_source ~partitioned ~static_order
+          Cache.digest ~source:old_magic ~partitioned ~static_order:false
         in
         Alcotest.(check bool) ("save stale " ^ old_magic) true
           (Persist.save_entry p ~key:stale_key ~uses:1 compiled);
@@ -249,13 +252,13 @@ let test_persist_rehydrate_and_quarantine () =
         write path
           (old_magic ^ String.sub current 8 (String.length current - 8));
         (stale_key, path))
-      [ ("SMVWARM2", true, false); ("SMVWARM3", false, true) ]
+      [ ("SMVWARM2", true); ("SMVWARM3", false); ("SMVWARM4", false) ]
   in
   let p' = Persist.create ~dir ~debug:false in
   let cache = Cache.create ~capacity:4 in
   let restored = Persist.rehydrate p' cache in
   Alcotest.(check int) "one entry restored" 1 restored;
-  Alcotest.(check int) "four files quarantined" 4
+  Alcotest.(check int) "five files quarantined" 5
     (Persist.counters p').Persist.quarantines;
   Alcotest.(check bool) "restored entry is warm in the pool" true
     (Cache.is_warm cache ~key);
