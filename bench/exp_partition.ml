@@ -1,39 +1,46 @@
 (* E9 (ablation) — image schedules for the transition relation: one
    monolithic relational product, size-bounded clusters (the default:
    adjacent conjuncts merged up to [Kripke.cluster_limit] nodes), and
-   the finest partition ([--partitioned]: one step per conjunct), all
-   with early quantification (Burch-Clarke-Long, as in SMV).  A second
-   table sweeps the cluster bound.
+   the finest partition (one step per conjunct), all with early
+   quantification (Burch-Clarke-Long, as in SMV).  A second table
+   sweeps the cluster bound.
 
    Workloads: the n-cell XOR automaton (one conjunct per cell) and the
    benchmark's SMV families — arbiters, counters and dining
-   philosophers.  Every cell builds its variant on a fresh manager from
-   the same source and times reachability plus every SPEC under
-   fairness; the figure is the median of the repetitions. *)
+   philosophers.  A compiled SMV model keeps only its default schedule,
+   so its rows compare that against the monolithic product; the finest
+   partition and the bound sweep run on the XOR automata, whose
+   builder hands back its conjuncts.  Every cell builds its variant on
+   a fresh manager from the same source and times reachability plus
+   every SPEC under fairness; the figure is the median of the
+   repetitions. *)
 
 type source = {
   name : string;
-  load : unit -> Kripke.t * Bdd.t list * Ctl.t list;
-      (** a fresh model, its transition clusters and its specs *)
+  conjuncts : bool;  (** does [load] hand back the conjuncts? *)
+  load : unit -> Kripke.t * Bdd.t list option * Ctl.t list;
+      (** a fresh model, its transition conjuncts when known, and its
+          specs *)
 }
 
 let smv name text =
   {
     name;
+    conjuncts = false;
     load =
       (fun () ->
         let c = Smv.load_string text in
-        (c.Smv.Compile.model, c.Smv.Compile.clusters,
-         List.map snd c.Smv.Compile.specs));
+        (c.Smv.Compile.model, None, List.map snd c.Smv.Compile.specs));
   }
 
 let xor n =
   {
     name = Printf.sprintf "xor-%d" n;
+    conjuncts = true;
     load =
       (fun () ->
         let m, clusters = Workloads.xor_automaton n in
-        (m, clusters, []));
+        (m, Some clusters, []));
   }
 
 let sources ~full =
@@ -56,24 +63,33 @@ let sources ~full =
         smv (Printf.sprintf "philosophers-%d" n) (Workloads.philosophers_smv n))
       (if full then [ 5; 6; 7; 8 ] else [ 5; 6 ])
 
-type variant = Mono | Limit of int | Finest
+(* [Default] is the schedule the model was built with: clusters merged
+   up to [Kripke.cluster_limit]. *)
+type variant = Mono | Default | Limit of int | Finest
 
-let variants =
-  [ Mono; Limit 100; Limit Kripke.cluster_limit; Limit 5000; Finest ]
+(* The variants a source can be rebuilt in: [Limit] and [Finest] need
+   the conjuncts. *)
+let variants_of src =
+  [ Mono; Default ]
+  @ if src.conjuncts then [ Limit 100; Limit 5000; Finest ] else []
 
 (* The same model over another schedule of the same relation. *)
 let rebuild variant (m : Kripke.t) clusters =
   let vars = Array.to_list m.Kripke.vars in
   let partitioned ?limit () =
-    Kripke.make_partitioned ?limit ~man:m.Kripke.man ~vars
-      ~nbits:m.Kripke.nbits ~space:m.Kripke.space ~init:m.Kripke.init
-      ~clusters ~fairness:m.Kripke.fairness ~labels:m.Kripke.labels ()
+    match clusters with
+    | Some clusters ->
+      Kripke.make_partitioned ?limit ~man:m.Kripke.man ~vars
+        ~nbits:m.Kripke.nbits ~space:m.Kripke.space ~init:m.Kripke.init
+        ~clusters ~fairness:m.Kripke.fairness ~labels:m.Kripke.labels ()
+    | None -> invalid_arg "E9: no conjuncts to reschedule"
   in
   match variant with
   | Mono ->
     Kripke.make ~man:m.Kripke.man ~vars ~nbits:m.Kripke.nbits
       ~space:m.Kripke.space ~init:m.Kripke.init ~trans:m.Kripke.trans
       ~fairness:m.Kripke.fairness ~labels:m.Kripke.labels ()
+  | Default -> m
   | Limit limit -> partitioned ~limit ()
   | Finest -> partitioned ()
 
@@ -119,11 +135,15 @@ let run ~full =
   let reps = if full then 3 else 1 in
   let results =
     List.map
-      (fun src -> (src, List.map (fun v -> (v, measure ~reps src v)) variants))
+      (fun src ->
+        (src, List.map (fun v -> (v, measure ~reps src v)) (variants_of src)))
       (sources ~full)
   in
   let secs c = Harness.seconds_string c.check_s in
   let shape c = Printf.sprintf "%d (%d)" c.clusters c.largest in
+  let cell v cells f =
+    match List.assoc_opt v cells with Some c -> f c | None -> "-"
+  in
   Harness.print_table
     ~title:
       "E9 (ablation): image schedules — monolithic vs clustered (default) vs \
@@ -134,10 +154,9 @@ let run ~full =
     (List.map
        (fun (src, cells) ->
          let mono = List.assoc Mono cells in
-         let dflt = List.assoc (Limit Kripke.cluster_limit) cells in
-         let fin = List.assoc Finest cells in
+         let dflt = List.assoc Default cells in
          [
-           src.name; shape dflt; secs mono; secs dflt; secs fin;
+           src.name; shape dflt; secs mono; secs dflt; cell Finest cells secs;
            Printf.sprintf "%.1fx" (mono.check_s /. dflt.check_s);
            string_of_int mono.relprod_misses;
            string_of_int dflt.relprod_misses;
@@ -146,14 +165,17 @@ let run ~full =
   Harness.print_table
     ~title:"E9 (sweep): cluster bound — clusters (largest) and check time"
     ~header:[ "model"; "limit 100"; "limit 1000"; "limit 5000" ]
-    (List.map
+    (List.filter_map
        (fun (src, cells) ->
-         src.name
-         :: List.map
-              (fun l ->
-                let c = List.assoc (Limit l) cells in
-                Printf.sprintf "%s %s" (shape c) (secs c))
-              [ 100; 1000; 5000 ])
+         if not (List.mem_assoc Finest cells) then None
+         else
+           Some
+             (src.name
+             :: List.map
+                  (fun v ->
+                    cell v cells (fun c ->
+                        Printf.sprintf "%s %s" (shape c) (secs c)))
+                  [ Limit 100; Default; Limit 5000 ]))
        results);
   Harness.note
     "each image conjoins the clusters in turn and quantifies a variable as";
@@ -166,6 +188,7 @@ let bechamel =
   let prepared =
     lazy
       (let m, clusters = Workloads.xor_automaton 12 in
+       let clusters = Some clusters in
        (rebuild Mono m clusters, m, rebuild Finest m clusters))
   in
   let reach pick () =

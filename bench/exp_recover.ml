@@ -15,7 +15,13 @@
       engineered counter's EF fixpoint trips a tiny step budget almost
       immediately, so a failed rung's cost is dominated by the
       remediation work (gc, cache tightening) plus ladder bookkeeping —
-      exactly the marginal price of asking for one more retry. *)
+      exactly the marginal price of asking for one more retry.
+
+   3. What does the ladder decide under a node budget?  E12c checks
+      committed and generated SMV models as [smv_check --certify
+      --node-limit N --retries R] does, through [Server.Engine], and
+      counts decided and UNDETERMINED specs, verdicts the degraded
+      rung decided, and certified traces. *)
 
 let iq_mean xs =
   let a = Array.of_list xs in
@@ -150,6 +156,162 @@ let measure_ladder ~bits ~rounds ~retries =
   let runs = List.init rounds (fun _ -> sample ()) in
   (iq_mean (List.map fst runs), snd (List.hd runs))
 
+(* E12c inputs: the committed models but counter26 (read from
+   examples/models when run from the repository root) and generated
+   arbiters, philosophers and counters with the benchmark's specs. *)
+let sweep_models ~full =
+  let committed =
+    [ "mutex"; "philosophers"; "cache"; "ring"; "counter12"; "arbiter" ]
+    |> List.filter_map (fun name ->
+           let path = Filename.concat "examples/models" (name ^ ".smv") in
+           if Sys.file_exists path then
+             Some (name, In_channel.with_open_bin path In_channel.input_all)
+           else None)
+  in
+  let with_specs text specs =
+    text ^ String.concat "" (List.map (Printf.sprintf "SPEC %s\n") specs)
+  in
+  let conj n f = String.concat " & " (List.init n f) in
+  let arbiter fair n =
+    ( Printf.sprintf "arbiter-%s-%d" (if fair then "fair" else "unfair") n,
+      with_specs
+        (Workloads.arbiter_smv ~fairness:fair n)
+        [ "AG !(ack0 & ack1)"; "AG (req0 -> AF ack0)"; "AG (req1 -> AF !req1)";
+          "EF (req2 & ack2)"; "EG !ack0" ] )
+  in
+  let philosophers n =
+    ( Printf.sprintf "philosophers-%d" n,
+      with_specs
+        (Workloads.philosophers_smv n)
+        [ "AG !(p0.eating & p1.eating)";
+          Printf.sprintf "EF (%s)" (conj n (Printf.sprintf "p%d.st = left"));
+          "AG (p0.st = hungry -> AF p0.eating)"; "EG !p0.eating" ] )
+  in
+  let counter bits =
+    let all = conj bits (Printf.sprintf "b%d") in
+    ( Printf.sprintf "counter-%d" bits,
+      with_specs (Workloads.counter_smv bits)
+        [ Printf.sprintf "AF (%s)" all; Printf.sprintf "EF (%s)" all ] )
+  in
+  if full then
+    committed
+    @ List.map (arbiter true) [ 6; 7; 8 ]
+    @ List.map (arbiter false) [ 8; 9; 10 ]
+    @ List.map philosophers [ 5; 6; 7; 8 ]
+    @ List.map counter [ 9; 10; 11; 12 ]
+  else
+    List.filter (fun (n, _) -> List.mem n [ "mutex"; "philosophers" ]) committed
+    @ [ arbiter false 8; philosophers 6; philosophers 7; counter 9 ]
+
+type sweep = { decided : int; undetermined : int; degraded : int; certified : int }
+
+(* One fresh compile, every spec checked under the budget, as a
+   one-shot [--certify -q] run; counts are read off the report text. *)
+let sweep_run source ~node_limit ~retries =
+  let compiled = Smv.load_string source in
+  let opts =
+    { Server.Engine.default_opts with
+      traces = false; certify = true; node_limit = Some node_limit; retries }
+  in
+  let buf = Buffer.create 1024 in
+  let ppf = Format.formatter_of_buffer buf in
+  let reports =
+    List.map
+      (Server.Engine.check_one ppf compiled.Smv.Compile.model ~opts
+         ~cancel:(Atomic.make false))
+      compiled.Smv.Compile.specs
+  in
+  Format.pp_print_flush ppf ();
+  let lines = String.split_on_char '\n' (Buffer.contents buf) in
+  let count affix =
+    let n = String.length affix in
+    let has l =
+      let rec at i =
+        i + n <= String.length l && (String.sub l i n = affix || at (i + 1))
+      in
+      at 0
+    in
+    List.length (List.filter has lines)
+  in
+  let undetermined =
+    List.length
+      (List.filter
+         (fun r ->
+           match r.Server.Engine.verdict with
+           | Server.Engine.Undetermined _ -> true
+           | Server.Engine.Holds | Server.Engine.Fails -> false)
+         reports)
+  in
+  {
+    decided = List.length reports - undetermined;
+    undetermined;
+    degraded = count "via degraded)";
+    certified = count "-- certificate: trace independently validated";
+  }
+
+let run_sweep ~full =
+  let budgets =
+    if full then [ 300; 1000; 3000; 10000; 30000 ] else [ 1000; 3000; 10000 ]
+  in
+  let retries_set = if full then [ 4; 6 ] else [ 4 ] in
+  let total = ref { decided = 0; undetermined = 0; degraded = 0; certified = 0 } in
+  let rows =
+    List.concat_map
+      (fun (name, source) ->
+        List.map
+          (fun node_limit ->
+            let cells =
+              List.map
+                (fun retries ->
+                  let r = sweep_run source ~node_limit ~retries in
+                  Harness.emit_json ~experiment:"E12"
+                    [
+                      ("row", Harness.String "node-budget-sweep");
+                      ("model", Harness.String name);
+                      ("node_limit", Harness.Int node_limit);
+                      ("retries", Harness.Int retries);
+                      ("decided", Harness.Int r.decided);
+                      ("undetermined", Harness.Int r.undetermined);
+                      ("degraded_ok", Harness.Int r.degraded);
+                      ("certified", Harness.Int r.certified);
+                    ];
+                  let t = !total in
+                  total :=
+                    {
+                      decided = t.decided + r.decided;
+                      undetermined = t.undetermined + r.undetermined;
+                      degraded = t.degraded + r.degraded;
+                      certified = t.certified + r.certified;
+                    };
+                  r)
+                retries_set
+            in
+            let col f = String.concat " / " (List.map f cells) in
+            [
+              name;
+              string_of_int node_limit;
+              col (fun r -> Printf.sprintf "%d (%d undet.)" r.decided r.undetermined);
+              col (fun r -> string_of_int r.degraded);
+              col (fun r -> string_of_int r.certified);
+            ])
+          budgets)
+      (sweep_models ~full)
+  in
+  let per_retries =
+    String.concat " / " (List.map (Printf.sprintf "--retries %d") retries_set)
+  in
+  Harness.print_table
+    ~title:
+      (Printf.sprintf
+         "E12c: node-budget ladder sweep, --certify (cells: %s)" per_retries)
+    ~header:[ "model"; "node limit"; "decided"; "degraded ok"; "certified" ]
+    rows;
+  let t = !total in
+  Harness.note
+    "total: %d decided, %d UNDETERMINED, %d decided on the degraded rung, %d \
+     certified traces"
+    t.decided t.undetermined t.degraded t.certified
+
 let run ~full =
   (* Row set 1: disarmed/armed hook overhead on the E10 workload. *)
   let hook_cases =
@@ -223,7 +385,8 @@ let run ~full =
   Harness.note
     "armed figure.  E12b: each added retry re-runs the starved fixpoint";
   Harness.note
-    "under a doubled step budget after gc / cache-tightening remediation."
+    "under a doubled step budget after gc / cache-tightening remediation.";
+  run_sweep ~full
 
 let bechamel =
   let m = lazy (workload ~bits:6 ~k:2) in

@@ -10,7 +10,7 @@
 
    Recovery: with --retries N a breached / out-of-memory / crashed
    specification is re-attempted up to N times through the
-   Robust.Ladder rungs (gc-retry, degraded representation,
+   Robust.Ladder rungs (gc-retry, reorder, degraded caches,
    explicit-state fallback), each attempt under exponentially
    backed-off budgets; with --retries 0 (the default) behaviour —
    output bytes included — is identical to the pre-recovery checker.
@@ -131,19 +131,12 @@ let run (opts : Engine.opts) ~jobs ~debug ~crash_worker ~extra_specs
   let* () = positive "--simulate" "STEPS" simulate in
   let* compiled =
     match
-      Engine.compile_model ~what:file (fun () ->
-          Smv.load_file ~partitioned:opts.partitioned file)
+      Engine.compile_model ~what:file (fun () -> Smv.load_file file)
     with
     | result -> result
     | exception Sys_error msg -> Error msg
   in
   let m = compiled.Smv.Compile.model in
-  let main_clusters = compiled.Smv.Compile.clusters in
-  (* The clusters must survive any ladder-triggered gc between the
-     breach and the degraded rung that consumes them. *)
-  let (_ : Bdd.root) =
-    Bdd.add_root m.Kripke.man (fun () -> main_clusters)
-  in
   (* Dynamic reordering: `auto arms the live-node trigger, consumed at
      the fixpoint checkpoints inside each spec's verdict phase, on top
      of the proximity order every model is compiled with. *)
@@ -184,11 +177,8 @@ let run (opts : Engine.opts) ~jobs ~debug ~crash_worker ~extra_specs
         | `None -> ());
         let buf = Buffer.create 512 in
         let ppf = Format.formatter_of_buffer buf in
-        let clusters () =
-          List.map (Bdd.transfer ~src:m.Kripke.man ~dst:wm.Kripke.man) main_clusters
-        in
         let r =
-          Engine.check_one ppf wm ~opts ~cancel:cancel_flag ~debug ~clusters
+          Engine.check_one ppf wm ~opts ~cancel:cancel_flag ~debug
             (names.(i), spec)
         in
         Format.pp_print_flush ppf ();
@@ -227,9 +217,7 @@ let run (opts : Engine.opts) ~jobs ~debug ~crash_worker ~extra_specs
           let r =
             Engine.check_one ppf m
               ~opts:{ opts with inject = None }
-              ~cancel:cancel_flag ~debug
-              ~clusters:(fun () -> main_clusters)
-              ~prior
+              ~cancel:cancel_flag ~debug ~prior
               (names.(i), formulas.(i))
           in
           Format.pp_print_flush ppf ();
@@ -277,9 +265,7 @@ let run (opts : Engine.opts) ~jobs ~debug ~crash_worker ~extra_specs
             else
               Some
                 (Engine.check_one Format.std_formatter m ~opts
-                   ~cancel:cancel_flag ~debug
-                   ~clusters:(fun () -> main_clusters)
-                   spec))
+                   ~cancel:cancel_flag ~debug spec))
           specs,
         [] )
   in
@@ -320,16 +306,6 @@ let no_trace_arg =
   Arg.(
     value & flag
     & info [ "q"; "no-trace" ] ~doc:"Do not print counterexample traces.")
-
-let partitioned_arg =
-  Arg.(
-    value & flag
-    & info [ "partitioned" ]
-        ~doc:
-          "Compute images over the finest partition of the transition \
-           relation, one early-quantification step per conjunct, \
-           instead of the default clusters of adjacent conjuncts \
-           merged up to 1000 BDD nodes.")
 
 let stats_arg =
   Arg.(
@@ -412,11 +388,10 @@ let retries_arg =
           "Re-attempt a breached, out-of-memory or crashed \
            specification up to N times with escalating remediation: \
            garbage collection, a variable-reordering sweep, a degraded \
-           (partitioned, tight-cache) representation, then an \
-           explicit-state fallback when the state space is small \
-           enough.  Recovered verdicts are annotated and their traces \
-           always certified.  Default 0: no recovery, behaviour \
-           identical to earlier versions.")
+           (tight-cache) attempt, then an explicit-state fallback when \
+           the state space is small enough.  Recovered verdicts are \
+           annotated and their traces always certified.  Default 0: no \
+           recovery, behaviour identical to earlier versions.")
 
 let retry_factor_arg =
   Arg.(
@@ -648,7 +623,6 @@ let opts_term =
   and+ no_trace = no_trace_arg
   and+ stats = stats_arg
   and+ certify = certify_arg
-  and+ partitioned = partitioned_arg
   and+ timeout = timeout_arg
   and+ node_limit = node_limit_arg
   and+ step_limit = step_limit_arg
@@ -662,7 +636,6 @@ let opts_term =
       traces = not no_trace;
       stats;
       certify;
-      partitioned;
       timeout;
       node_limit;
       step_limit;
@@ -830,9 +803,9 @@ let cmd =
       `P
         "Recovery: $(b,--retries N) climbs a remediation ladder instead \
          of giving up — garbage collection and backed-off budgets \
-         first, then a partitioned relation with tight caches, finally \
-         an explicit-state re-check when the state space is small.  \
-         Recovered verdicts are annotated on the verdict line and \
+         first, then a sifting sweep, then tight operation caches, \
+         finally an explicit-state re-check when the state space is \
+         small.  Recovered verdicts are annotated on the verdict line and \
          their traces are always certified ($(b,--certify)).  \
          $(b,--inject) plants deterministic faults to exercise every \
          rung in CI.";
@@ -910,4 +883,12 @@ let cmd =
     (Cmd.info "smv_check" ~version:"1.0.0" ~doc ~man)
     main
 
-let () = exit (Cmd.eval' cmd)
+(* A malformed or unknown flag is an input error like any other: exit
+   3, not cmdliner's own usage-error code. *)
+let () =
+  exit
+    (match Cmd.eval_value cmd with
+    | Ok (`Ok code) -> code
+    | Ok (`Version | `Help) -> 0
+    | Error (`Parse | `Term) -> 3
+    | Error `Exn -> Cmd.Exit.internal_error)

@@ -16,9 +16,9 @@
    that also clears tombstones.  Splitting per variable is what keeps
    an adjacent-level exchange local to the two affected subtables.
 
-   The five operation caches (ite / exists / forall / relprod /
-   constrain) are direct-mapped int-packed arrays: one slot per hash,
-   a probe is one multiply and 3-4 array reads, and an insert that
+   The three operation caches (ite / exists / relprod) are
+   direct-mapped int-packed arrays: one slot per hash, a probe is one
+   multiply and 3-4 array reads, and an insert that
    lands on a live entry with a different key simply overwrites it
    (counted as an eviction).  This replaces the boxed scheme's
    tuple-keyed hash tables with whole-table reset eviction: results
@@ -80,9 +80,7 @@ type op_stats = { calls : int; hits : int; misses : int }
 type stats = {
   ite : op_stats;
   exists : op_stats;
-  forall : op_stats;
   relprod : op_stats;
-  constrain : op_stats;
   live_nodes : int;
   peak_nodes : int;
   total_nodes : int;
@@ -208,9 +206,7 @@ type man = {
          OCaml GC).  The next [gc] releases the unmarked ones. *)
   ite_cache : cache;
   exists_cache : cache;
-  forall_cache : cache;
   relprod_cache : cache;
-  constrain_cache : cache;
   mutable cache_limit : int;
       (* requested per-cache entry bound; [max_int] means unbounded *)
   mutable cache_cap : int;
@@ -225,9 +221,7 @@ type man = {
   mutable gc_collected : int;
   ite_stat : opstat;
   exists_stat : opstat;
-  forall_stat : opstat;
   relprod_stat : opstat;
-  constrain_stat : opstat;
   roots : (int, unit -> t list) Hashtbl.t;
   mutable next_root : int;
   mutable limits : limits option;
@@ -318,9 +312,7 @@ let create ?(unique_size = 20_011) ?(cache_size = 20_011) ?cache_limit () =
     zombies = [];
     ite_cache = cache_make 4 entries0;
     exists_cache = cache_make 3 entries0;
-    forall_cache = cache_make 3 entries0;
     relprod_cache = cache_make 4 entries0;
-    constrain_cache = cache_make 3 entries0;
     cache_limit = climit;
     cache_cap;
     cache_entries0 = entries0;
@@ -332,9 +324,7 @@ let create ?(unique_size = 20_011) ?(cache_size = 20_011) ?cache_limit () =
     gc_collected = 0;
     ite_stat = fresh_opstat ();
     exists_stat = fresh_opstat ();
-    forall_stat = fresh_opstat ();
     relprod_stat = fresh_opstat ();
-    constrain_stat = fresh_opstat ();
     roots = Hashtbl.create 16;
     next_root = 0;
     limits = None;
@@ -402,9 +392,7 @@ let set_cache_limit m limit =
   in
   shrink m.ite_cache;
   shrink m.exists_cache;
-  shrink m.forall_cache;
-  shrink m.relprod_cache;
-  shrink m.constrain_cache
+  shrink m.relprod_cache
 
 let cache_limit m = if m.cache_limit = max_int then None else Some m.cache_limit
 
@@ -425,9 +413,7 @@ let stats m =
   {
     ite = snapshot_op m.ite_stat;
     exists = snapshot_op m.exists_stat;
-    forall = snapshot_op m.forall_stat;
     relprod = snapshot_op m.relprod_stat;
-    constrain = snapshot_op m.constrain_stat;
     live_nodes = live_nodes m;
     peak_nodes = m.peak_nodes;
     total_nodes = count_nodes m;
@@ -439,8 +425,7 @@ let stats m =
     reorder_saved = m.reorder_saved;
     cache_stores =
       m.ite_cache.c_stores + m.exists_cache.c_stores
-      + m.forall_cache.c_stores + m.relprod_cache.c_stores
-      + m.constrain_cache.c_stores;
+      + m.relprod_cache.c_stores;
     unique_lookups = m.unique_lookups;
     unique_probes = m.unique_probes;
     store_capacity = m.n_cap;
@@ -639,9 +624,7 @@ let cache_reset m c =
 
 let clear_caches m =
   cache_reset m m.ite_cache;
-  cache_reset m m.constrain_cache;
   cache_reset m m.exists_cache;
-  cache_reset m m.forall_cache;
   cache_reset m m.relprod_cache
 
 (* ------------------------------------------------------------------ *)
@@ -971,30 +954,6 @@ let rec exists m c f =
     end
   end
 
-let rec forall m c f =
-  m.forall_stat.calls <- m.forall_stat.calls + 1;
-  if f < 2 then f
-  else if c < 2 then f
-  else begin
-    let fv = m.n_var.(f) in
-    let c = cube_from m c m.var2lvl.(fv) in
-    if c < 2 then f
-    else begin
-      let r = cache_find2 m m.forall_stat m.forall_cache f c in
-      if r >= 0 then r
-      else begin
-        let r =
-          if fv = m.n_var.(c) then
-            let ch = m.n_hi.(c) in
-            and_ m (forall m ch m.n_lo.(f)) (forall m ch m.n_hi.(f))
-          else mk m fv (forall m c m.n_lo.(f)) (forall m c m.n_hi.(f))
-        in
-        cache_store2 m m.forall_cache f c r;
-        r
-      end
-    end
-  end
-
 (* Relational product: exists c (f /\ g) in a single recursion, the
    workhorse of image computation. *)
 let rec and_exists m c f g =
@@ -1026,36 +985,6 @@ let rec and_exists m c f g =
         cache_store3 m m.relprod_cache i j c r;
         r
       end
-    end
-  end
-
-(* Generalized cofactor (Coudert-Madre "constrain"): a function that
-   agrees with [f] on [c] and may take any value outside it, chosen so
-   the result is often much smaller than [f].  Key property:
-   [c /\ constrain f c = c /\ f]. *)
-let rec constrain m f c =
-  m.constrain_stat.calls <- m.constrain_stat.calls + 1;
-  if c = 0 then invalid_arg "Bdd.constrain: care set is empty"
-  else if c = 1 then f
-  else if f < 2 then f
-  else if f = c then 1
-  else begin
-    let r = cache_find2 m m.constrain_stat m.constrain_cache f c in
-    if r >= 0 then r
-    else begin
-      let l = min (lvl m f) (lvl m c) in
-      let v = m.lvl2var.(l) in
-      let f0 = cof0 m f v
-      and f1 = cof1 m f v
-      and c0 = cof0 m c v
-      and c1 = cof1 m c v in
-      let r =
-        if c1 = 0 then constrain m f0 c0
-        else if c0 = 0 then constrain m f1 c1
-        else mk m v (constrain m f0 c0) (constrain m f1 c1)
-      in
-      cache_store2 m m.constrain_cache f c r;
-      r
     end
   end
 
@@ -1276,12 +1205,10 @@ let transfer ~src ~dst f =
 (* Statistics.                                                         *)
 
 let cache_hits s =
-  s.ite.hits + s.exists.hits + s.forall.hits + s.relprod.hits
-  + s.constrain.hits
+  s.ite.hits + s.exists.hits + s.relprod.hits
 
 let cache_misses s =
-  s.ite.misses + s.exists.misses + s.forall.misses + s.relprod.misses
-  + s.constrain.misses
+  s.ite.misses + s.exists.misses + s.relprod.misses
 
 (* Pointwise sum of two snapshots, for aggregating the managers of a
    parallel run into one report.  Summing [peak_nodes] across managers
@@ -1297,9 +1224,7 @@ let merge_stats a b =
   {
     ite = op a.ite b.ite;
     exists = op a.exists b.exists;
-    forall = op a.forall b.forall;
     relprod = op a.relprod b.relprod;
-    constrain = op a.constrain b.constrain;
     live_nodes = a.live_nodes + b.live_nodes;
     peak_nodes = a.peak_nodes + b.peak_nodes;
     total_nodes = a.total_nodes + b.total_nodes;
@@ -1331,9 +1256,7 @@ let diff_stats after before =
   {
     ite = op after.ite before.ite;
     exists = op after.exists before.exists;
-    forall = op after.forall before.forall;
     relprod = op after.relprod before.relprod;
-    constrain = op after.constrain before.constrain;
     live_nodes = after.live_nodes;
     peak_nodes = after.peak_nodes;
     total_nodes = after.total_nodes - before.total_nodes;
@@ -1360,18 +1283,14 @@ let reset_stats m =
   in
   reset m.ite_stat;
   reset m.exists_stat;
-  reset m.forall_stat;
   reset m.relprod_stat;
-  reset m.constrain_stat;
   let rcache c =
     c.c_stores <- 0;
     c.c_over <- 0
   in
   rcache m.ite_cache;
   rcache m.exists_cache;
-  rcache m.forall_cache;
   rcache m.relprod_cache;
-  rcache m.constrain_cache;
   m.evictions <- 0;
   m.unique_lookups <- 0;
   m.unique_probes <- 0;
@@ -1391,9 +1310,7 @@ let pp_stats ppf s =
     s.live_nodes s.peak_nodes s.total_nodes;
   op "ite" s.ite;
   op "exists" s.exists;
-  op "forall" s.forall;
   op "relprod" s.relprod;
-  op "constrain" s.constrain;
   Format.fprintf ppf
     "  cache hits %d  misses %d  evictions %d@,  gc runs %d (collected %d nodes)"
     (cache_hits s) (cache_misses s) s.cache_evictions s.gc_runs s.gc_collected;

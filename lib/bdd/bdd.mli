@@ -131,21 +131,10 @@ val exists : man -> t -> t -> t
 (** [exists m cube f] existentially quantifies the variables of the
     positive cube [cube] out of [f]. *)
 
-val forall : man -> t -> t -> t
-(** [forall m cube f] universally quantifies the variables of [cube]. *)
-
 val and_exists : man -> t -> t -> t -> t
 (** [and_exists m cube f g] is [exists m cube (and_ m f g)], computed in
     one pass — the relational-product operation at the heart of symbolic
     image computation. *)
-
-val constrain : man -> t -> t -> t
-(** [constrain m f c] — the generalized cofactor (Coudert-Madre): a
-    function that agrees with [f] everywhere in the care set [c] and is
-    arbitrary (chosen to shrink the diagram) outside it, so that
-    [c /\ constrain f c = c /\ f].  Model checkers use it to simplify
-    intermediate sets against reachability invariants.  Raises
-    [Invalid_argument] when [c] is the constant false. *)
 
 (** {1 Cross-manager transfer} *)
 
@@ -230,9 +219,7 @@ type op_stats = {
 type stats = {
   ite : op_stats;
   exists : op_stats;
-  forall : op_stats;
   relprod : op_stats;  (** {!and_exists}, the relational product *)
-  constrain : op_stats;
   live_nodes : int;       (** current unique-table size *)
   peak_nodes : int;       (** largest unique-table size so far *)
   total_nodes : int;      (** nodes ever allocated *)
@@ -243,7 +230,7 @@ type stats = {
   reorders : int;         (** reordering sweeps ({!reorder} and friends) *)
   reorder_ms : float;     (** wall-clock milliseconds spent reordering *)
   reorder_saved : int;    (** net live-node reduction across all sweeps *)
-  cache_stores : int;     (** operation-cache insertions across the five
+  cache_stores : int;     (** operation-cache insertions across the three
                               caches; hit rate = hits / (hits + misses),
                               overwrite rate = evictions / stores *)
   unique_lookups : int;   (** unique-table find-or-insert operations *)
@@ -260,10 +247,10 @@ val stats : man -> stats
 (** Snapshot the counters (cheap; safe to call on the hot path). *)
 
 val cache_hits : stats -> int
-(** Total cache hits across the five operation caches. *)
+(** Total cache hits across the three operation caches. *)
 
 val cache_misses : stats -> int
-(** Total cache misses across the five operation caches. *)
+(** Total cache misses across the three operation caches. *)
 
 val merge_stats : stats -> stats -> stats
 (** Pointwise sum of two snapshots — used to aggregate the per-worker

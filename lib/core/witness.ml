@@ -208,24 +208,3 @@ let eg_stats ?(strategy = Restart) ?(max_restarts = 1_000_000)
   loop [ start ] start 0
 
 let eg ?strategy m ~f ~start = fst (eg_stats ?strategy m ~f ~start)
-
-(* ------------------------------------------------------------------ *)
-(* Fair EX / EU: reduce to the unfair operator against [g /\ fair] and
-   extend to an infinite fair path with an [EG true] witness.          *)
-
-let extend_fair m trace =
-  match List.rev (Kripke.Trace.states trace) with
-  | [] -> raise (No_witness "internal: empty trace")
-  | last :: _ ->
-    let tail = eg m ~f:m.Kripke.space ~start:last in
-    Kripke.Trace.append trace tail
-
-let ex_fair m ~f ~start =
-  let bman = m.Kripke.man in
-  let fair = Ctl.Fair.fair_states m in
-  extend_fair m (ex m ~f:(Bdd.and_ bman f fair) ~start)
-
-let eu_fair m ~f ~g ~start =
-  let bman = m.Kripke.man in
-  let fair = Ctl.Fair.fair_states m in
-  extend_fair m (eu m ~f ~g:(Bdd.and_ bman g fair) ~start)

@@ -43,6 +43,11 @@ let rec map_pred fn = function
   | AG f -> AG (map_pred fn f)
   | AU (a, b) -> AU (map_pred fn a, map_pred fn b)
 
+let preds f =
+  let acc = ref [] in
+  ignore (map_pred (fun b -> acc := b :: !acc; b) f);
+  !acc
+
 let rec enf = function
   | (True | False | Atom _ | Pred _) as f -> f
   | Not f -> Not (enf f)

@@ -41,6 +41,11 @@ val map_pred : (Bdd.t -> Bdd.t) -> t -> t
     worker domain of a parallel run obtains a private copy of a shared
     specification. *)
 
+val preds : t -> Bdd.t list
+(** Every embedded [Pred] state set.  A compiled formula's sets are not
+    reachable from its model's roots, so a holder that outlives a
+    [Bdd.gc] roots them with this list. *)
+
 (** {1 Normal form} *)
 
 val enf : t -> t

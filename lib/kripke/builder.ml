@@ -119,15 +119,6 @@ let encode b (x : Model.var) ~primed idx =
 let is b x value = encode b x ~primed:false (index_of_value x value)
 let is' b x value = encode b x ~primed:true (index_of_value x value)
 
-let eq b (x : Model.var) (y : Model.var) =
-  if Array.length x.bits <> Array.length y.bits then
-    invalid_arg "Builder.eq: width mismatch";
-  let parts =
-    Array.to_list (Array.mapi (fun k bx ->
-        Bdd.iff b.bman (bit_cur b bx) (bit_cur b y.Model.bits.(k))) x.bits)
-  in
-  Bdd.conj b.bman parts
-
 let unchanged b (x : Model.var) =
   let parts =
     Array.to_list x.bits
@@ -177,15 +168,10 @@ let clusters b =
     in
     conjs @ [ d ]
 
-(* Seal the model with the clusters' image schedule: size-bounded
-   merged ([limit]) or finest. *)
-let seal ?limit b =
-  Model.make_partitioned ?limit ~man:b.bman ~vars:(List.rev b.vars)
-    ~nbits:b.nbits ~space:b.space ~init:b.init ~clusters:(clusters b)
-    ~fairness:b.fairness ~labels:(List.rev b.labels) ()
-
-let build b = seal ~limit:Model.cluster_limit b
-let build_partitioned b = seal b
+let build b =
+  Model.make_partitioned ~limit:Model.cluster_limit ~man:b.bman
+    ~vars:(List.rev b.vars) ~nbits:b.nbits ~space:b.space ~init:b.init
+    ~clusters:(clusters b) ~fairness:b.fairness ~labels:(List.rev b.labels) ()
 
 let totalize (m : Model.t) =
   let dead = Model.deadlocks m in

@@ -56,9 +56,6 @@ val is : b -> Model.var -> Model.value -> Bdd.t
 val is' : b -> Model.var -> Model.value -> Bdd.t
 (** Next copy of {!is}. *)
 
-val eq : b -> Model.var -> Model.var -> Bdd.t
-(** Two same-type variables are equal (current copies). *)
-
 val unchanged : b -> Model.var -> Bdd.t
 (** The variable keeps its value across the transition. *)
 
@@ -99,9 +96,7 @@ val clusters : b -> Bdd.t list
 (** The accumulated transition clusters: every {!add_trans} conjunct
     plus (when any case was added) the disjunction of the
     {!add_trans_case}s as one more cluster.  Their conjunction is the
-    relation {!build} installs; handing them to
-    {!Model.with_partition} later (e.g. when a recovery ladder degrades
-    to the finest partition) avoids re-deriving them. *)
+    relation {!build} installs. *)
 
 val build : b -> Model.t
 (** Seal the model.  Images run over the accumulated {!clusters} with
@@ -111,11 +106,6 @@ val build : b -> Model.t
     one cluster keeps the monolithic schedule.  The builder can keep
     being used afterwards (e.g. to build a variant), but this is rarely
     useful. *)
-
-val build_partitioned : b -> Model.t
-(** Like {!build}, but with the finest partition: every accumulated
-    cluster is an image step of its own ({!Model.make_partitioned}
-    without [limit]). *)
 
 val totalize : Model.t -> Model.t
 (** Add a self-loop to every deadlocked state, making the transition

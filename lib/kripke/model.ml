@@ -245,14 +245,6 @@ let install_schedule m parts =
   in
   register_roots { m with pre_schedule; post_schedule }
 
-let with_partition m clusters =
-  let parts = schedule_parts m clusters in
-  if not (Bdd.equal (Bdd.conj m.man parts) m.trans) then
-    invalid_arg
-      "Kripke.with_partition: clusters do not conjoin to the transition \
-       relation";
-  install_schedule m parts
-
 let make_partitioned ?limit ~man ~vars ~nbits ?space ~init ~clusters
     ?fairness ?labels () =
   let m =
@@ -260,8 +252,6 @@ let make_partitioned ?limit ~man ~vars ~nbits ?space ~init ~clusters
       ?fairness ?labels ()
   in
   install_schedule m (schedule_parts ?limit m clusters)
-
-let partitioned m = List.compare_length_with m.pre_schedule 1 > 0
 
 (* Deep-copy a model into another manager: every BDD goes through
    [Bdd.transfer] (which reads only immutable node structure, so

@@ -48,7 +48,7 @@ type t = private {
   pre_schedule : schedule_step list;
       (** the image schedule {!pre} runs: a single step over [trans]
           for a monolithic model, one step per cluster for a
-          partitioned one ({!make_partitioned}, {!with_partition}) *)
+          partitioned one ({!make_partitioned}) *)
   post_schedule : schedule_step list;  (** the same for {!post} *)
   fairness : Bdd.t list;  (** fairness constraints, as state sets *)
   labels : (string * Bdd.t) list;  (** named atomic propositions *)
@@ -90,21 +90,6 @@ val cluster_limit : int
     [~limit]) that {!Builder.build} and the SMV compiler apply by
     default: 1000, NuSMV's [image_cluster_size] default. *)
 
-val with_partition : t -> Bdd.t list -> t
-(** [with_partition m clusters] — the same model with image
-    computations ({!pre}, {!post}, and hence every checker built on
-    them) evaluated over the {e conjunctively partitioned} transition
-    relation [clusters @ [space; space']] with early quantification:
-    each cluster is conjoined in turn and the next-state (resp.
-    current-state) variables that appear in no later cluster are
-    quantified out immediately, keeping intermediate BDDs small (the
-    technique of Burch-Clarke-Long used by SMV).  Every cluster is a
-    step of its own: the finest partition, [--partitioned].  Images are
-    canonical BDDs, so the schedule changes how fast they are computed,
-    never what they are.  The conjunction of [clusters] must equal the
-    model's transition relation (within [space]); raises
-    [Invalid_argument] otherwise. *)
-
 val make_partitioned :
   ?limit:int ->
   man:Bdd.man ->
@@ -117,19 +102,21 @@ val make_partitioned :
   ?labels:(string * Bdd.t) list ->
   unit ->
   t
-(** {!make} over the relation [Bdd.conj clusters], with an image
-    schedule over the clusters as {!with_partition} installs it.
-    Without [limit] that is the finest partition; with [~limit] the
-    parts [clusters @ [space; space']] are walked in order and adjacent
-    ones conjoined while the product has at most [limit] nodes, so each
-    step's cluster is within [limit] unless it is a single part that
-    already exceeded it; if everything merges into one cluster the
-    model keeps {!make}'s monolithic schedule.  The relation is built
-    from the clusters, so unlike {!with_partition} there is nothing to
-    re-validate (that check is a full product on large relations). *)
-
-val partitioned : t -> bool
-(** Does the image schedule have more than one cluster? *)
+(** {!make} over the relation [Bdd.conj clusters], with images
+    ({!pre}, {!post}, and hence every checker built on them) evaluated
+    over the {e conjunctively partitioned} relation
+    [clusters @ [space; space']] with early quantification: each
+    cluster is conjoined in turn and the next-state (resp.
+    current-state) variables that appear in no later cluster are
+    quantified out immediately, keeping intermediate BDDs small (the
+    technique of Burch-Clarke-Long used by SMV).  Without [limit]
+    every part is a step of its own; with [~limit] the parts are
+    walked in order and adjacent ones conjoined while the product has
+    at most [limit] nodes, so each step's cluster is within [limit]
+    unless it is a single part that already exceeded it; if everything
+    merges into one cluster the model keeps {!make}'s monolithic
+    schedule.  Images are canonical BDDs, so the schedule changes how
+    fast they are computed, never what they are. *)
 
 val clone_into : Bdd.man -> t -> t
 (** [clone_into dst m] — a deep copy of the model whose every BDD
@@ -165,7 +152,7 @@ val reach_memo : t -> Bdd.t option
 (** The cached reachable-state set ({!reachable} computes and stores
     it).  Unlike {!fair_memo} it depends on nothing mutable — only
     [init] and [trans] — so it is never invalidated: {!with_fairness}
-    and {!with_partition} keep it, {!clone_into} transfers it, and a
+    keeps it, {!clone_into} transfers it, and a
     warm check server reuses it across every request on the same
     model.  Rooted with the model's other diagrams, so it survives
     [Bdd.gc] and reordering. *)

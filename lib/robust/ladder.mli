@@ -4,8 +4,8 @@
     re-runs it with escalating remediation until an attempt succeeds,
     the attempt budget ([--retries]) is spent, or the run is
     cancelled.  The ladder itself is policy only — {e what} each rung
-    does (collect garbage, tighten caches, partition the relation,
-    drop to explicit state) is the caller's attempt function; the
+    does (collect garbage, sift the order, tighten caches, drop to
+    explicit state) is the caller's attempt function; the
     ladder decides {e which} rung comes next and keeps the attempt
     log.
 
@@ -19,8 +19,8 @@
     {- [Reorder] — same algorithm after a sifting sweep
        ([Bdd.reorder]) shrinks the tables, before any fidelity is
        given up;}
-    {- [Degraded] — tightened cache limit plus, for a model whose
-       relation fits in one cluster, the finest partition;}
+    {- [Degraded] — tightened cache limit, on the model's own image
+       schedule;}
     {- [Explicit_state] — the final attempt, taken only when the state
        space fits the explicit bridge.}}
 
@@ -32,7 +32,7 @@ type strategy =
   | Direct          (** plain symbolic attempt *)
   | Gc_retry        (** after [Bdd.gc] + op-cache purge *)
   | Reorder         (** after a [Bdd.reorder] sifting sweep *)
-  | Degraded        (** tightened cache limit + finest partition *)
+  | Degraded        (** tightened cache limit *)
   | Explicit_state  (** explicit-state fallback via the bridge *)
   | Main_domain     (** re-run of a crashed worker's spec locally *)
 

@@ -21,8 +21,8 @@ let create ~capacity =
   if capacity < 1 then invalid_arg "Cache.create: capacity must be >= 1";
   { capacity; table = Hashtbl.create 16; pool_lock = Mutex.create () }
 
-let digest ~source ~partitioned ~static_order:_ =
-  Digest.to_hex (Digest.string (Printf.sprintf "%b|%s" partitioned source))
+let digest ~source ~partitioned:_ ~static_order:_ =
+  Digest.to_hex (Digest.string source)
 
 let with_lock mu f =
   Mutex.lock mu;

@@ -4,16 +4,15 @@
     model skips everything expensive: parsing and compilation, BDD
     construction, the sifted variable order the first request paid
     for, the hot operation caches, and — via [Kripke.reach_memo] —
-    the reachable-set fixpoint.  The pool maps a digest of
-    [(partitioned, source)] to a compiled model whose manager carries
-    all of that accumulated warmth.
+    the reachable-set fixpoint.  The pool maps a digest of the source
+    to a compiled model whose manager carries all of that accumulated
+    warmth.
 
-    [partitioned] is part of the key because a [--partitioned] compile
-    builds a different image schedule.  The variable order is not:
-    every compile seeds the same proximity order, and no output depends
-    on the order ({!Kripke.pick_state} picks by bit index), so a
-    request with [reorder = none] may run on an order some earlier
-    [reorder = auto] request sifted to and still print the same
+    No option is part of the key.  Every compile builds the same
+    clustered image schedule and seeds the same proximity order, and no
+    output depends on the order ({!Kripke.pick_state} picks by bit
+    index), so a request with [reorder = none] may run on an order some
+    earlier [reorder = auto] request sifted to and still print the same
     bytes.
 
     Concurrency: a BDD manager is single-domain (hash-consing is not
@@ -46,9 +45,10 @@ val create : capacity:int -> t
     (raises [Invalid_argument] when [capacity < 1]). *)
 
 val digest : source:string -> partitioned:bool -> static_order:bool -> string
-(** The pool key for a check request: a digest of [(partitioned,
-    source)].  [static_order] is ignored; the label stays only because
-    the benchmark replay ([perfbench/replay.ml]) still passes it. *)
+(** The pool key for a check request: a digest of [source].
+    [partitioned] and [static_order] are ignored; the labels stay only
+    because the benchmark replay ([perfbench/replay.ml]) still passes
+    them. *)
 
 val acquire : t -> key:string -> entry * bool
 (** Find or insert the entry for [key]; the flag is [true] when the

@@ -107,38 +107,27 @@ let apply_defaults cfg (o : Engine.opts) =
 (* ------------------------------------------------------------------ *)
 (* Request processing (runs on a pool worker) *)
 
-(* Compile into the (locked) cache entry; clusters are rooted for the
-   entry's whole life, exactly as the one-shot CLI roots them for the
-   run. *)
-let build_entry (entry : Cache.entry) ~partitioned source =
+(* Compile into the (locked) cache entry. *)
+let build_entry (entry : Cache.entry) source =
   match entry.Cache.compiled with
   | Some c -> Ok (c, true)
   | None ->
-    Engine.compile_model ~what:"model" (fun () ->
-        Smv.load_string ~partitioned source)
+    Engine.compile_model ~what:"model" (fun () -> Smv.load_string source)
     |> Result.map (fun compiled ->
-           let m = compiled.Smv.Compile.model in
-           let (_ : Bdd.root) =
-             Bdd.add_root m.Kripke.man (fun () ->
-                 compiled.Smv.Compile.clusters)
-           in
            entry.Cache.compiled <- Some compiled;
            (compiled, false))
 
-let pool_key ~model (opts : Engine.opts) =
-  Cache.digest ~source:model ~partitioned:opts.Engine.partitioned
-    ~static_order:false
+let pool_key ~model =
+  Cache.digest ~source:model ~partitioned:false ~static_order:false
 
 (* Check one request on its (locked) warm entry.  Returns the reply
    payload; never raises. *)
 let process cache ~id ~model ~specs ~(opts : Engine.opts) ~cancel =
   let t0 = Bdd.now_monotonic () in
-  let entry, _ = Cache.acquire cache ~key:(pool_key ~model opts) in
+  let entry, _ = Cache.acquire cache ~key:(pool_key ~model) in
   Fun.protect ~finally:(fun () -> Cache.release cache entry) @@ fun () ->
   with_lock entry.Cache.lock @@ fun () ->
-  match
-    build_entry entry ~partitioned:opts.Engine.partitioned model
-  with
+  match build_entry entry model with
   | Error msg -> Protocol.error_reply ~id msg
   | Ok (compiled, warm) -> (
     let m = compiled.Smv.Compile.model in
@@ -183,10 +172,7 @@ let process cache ~id ~model ~specs ~(opts : Engine.opts) ~cancel =
                        {
                          sv_name = fst spec;
                          sv_report =
-                           Engine.check_one ppf m ~opts ~cancel
-                             ~clusters:(fun () ->
-                               compiled.Smv.Compile.clusters)
-                             spec;
+                           Engine.check_one ppf m ~opts ~cancel spec;
                        }))
               all_specs
         in
@@ -355,7 +341,7 @@ let handle_request cfg cache pool ov persist conn stop payload =
     | `Admitted ->
       let refuse_cold =
         (not (Overload.admit_cold ov))
-        && not (Cache.is_warm cache ~key:(pool_key ~model options))
+        && not (Cache.is_warm cache ~key:(pool_key ~model))
       in
       if refuse_cold then begin
         drop_id ();

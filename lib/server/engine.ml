@@ -14,7 +14,6 @@ type opts = {
   traces : bool;
   stats : bool;
   certify : bool;
-  partitioned : bool;
   timeout : float option;
   node_limit : int option;
   step_limit : int option;
@@ -31,7 +30,6 @@ let default_opts =
     traces = true;
     stats = false;
     certify = false;
-    partitioned = false;
     timeout = None;
     node_limit = None;
     step_limit = None;
@@ -237,20 +235,16 @@ let trace_for ppf m ~emit ~holds ~fallback spec =
         None
     end
 
-(* What one ladder attempt produced: the verdict, the model it was
-   decided on (the degraded rung may swap in a partitioned variant),
-   the budget bundle it ran under (trace construction keeps charging
-   it), and the explicit bridge when the verdict came from the
-   explicit-state rung. *)
+(* What one ladder attempt produced: the verdict, the budget bundle it
+   ran under (trace construction keeps charging it), and the explicit
+   bridge when the verdict came from the explicit-state rung. *)
 type attempt_result = {
   ar_holds : bool;
-  ar_model : Kripke.t;
   ar_limits : Bdd.Limits.t;
   ar_fallback : Robust.Fallback.t option;
 }
 
-let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?prior
-    (name, spec) =
+let check_one ppf m ~opts ~cancel ?(debug = false) ?prior (name, spec) =
   let man = m.Kripke.man in
   (* Monotonic, not calendar, time: the retry pool arithmetic below
      must not jump when NTP steps the clock mid-spec. *)
@@ -285,45 +279,26 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?prior
         ?node_budget:(backoff k opts.node_limit)
         ?step_budget:(backoff k opts.step_limit) ~cancel ()
   in
-  let run_symbolic model limits =
+  let run_symbolic limits =
     (* Checkpoints on: the verdict phase runs only rooted fixpoints, so
        a pending auto-reorder may fire between iterations.  Witness and
        certification phases below never enable them. *)
-    Bdd.Limits.with_attached model.Kripke.man limits (fun () ->
-        Bdd.Reorder.with_checkpoints model.Kripke.man (fun () ->
-            if opts.fair then Ctl.Fair.holds model spec
-            else Ctl.Check.holds model spec))
-  in
-  (* The degraded representation, built once per spec: the finest
-     partition (from the compiler's clusters) when the model's image
-     schedule is a single cluster; a clustered model keeps its own. *)
-  let dmodel = ref None in
-  let degraded_model () =
-    match !dmodel with
-    | Some dm -> dm
-    | None ->
-      let dm =
-        if Kripke.partitioned m then m
-        else
-          match clusters () with
-          | [] -> m
-          | cs -> ( try Kripke.with_partition m cs with Invalid_argument _ -> m)
-      in
-      dmodel := Some dm;
-      dm
+    Bdd.Limits.with_attached man limits (fun () ->
+        Bdd.Reorder.with_checkpoints man (fun () ->
+            if opts.fair then Ctl.Fair.holds m spec else Ctl.Check.holds m spec))
   in
   let attempt_fn ~attempt strategy =
     let limits = limits_for attempt in
+    let symbolic () =
+      { ar_holds = run_symbolic limits; ar_limits = limits; ar_fallback = None }
+    in
     match strategy with
-    | Robust.Ladder.Direct | Robust.Ladder.Main_domain ->
-      { ar_holds = run_symbolic m limits; ar_model = m;
-        ar_limits = limits; ar_fallback = None }
+    | Robust.Ladder.Direct | Robust.Ladder.Main_domain -> symbolic ()
     | Robust.Ladder.Gc_retry ->
       (* Reclaim the breached computation's intermediate nodes and drop
          the op-caches, then re-run plainly under backed-off budgets. *)
       ignore (Bdd.gc man);
-      { ar_holds = run_symbolic m limits; ar_model = m;
-        ar_limits = limits; ar_fallback = None }
+      symbolic ()
     | Robust.Ladder.Reorder ->
       (* Shrink the tables with a sifting sweep before giving up any
          fidelity.  The sweep runs under this attempt's limits, so a
@@ -331,20 +306,17 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?prior
          (including an injected reorder fault) is classified by the
          ladder like any other and climbs to the next rung. *)
       Bdd.Limits.with_attached man limits (fun () -> Bdd.reorder man);
-      { ar_holds = run_symbolic m limits; ar_model = m;
-        ar_limits = limits; ar_fallback = None }
+      symbolic ()
     | Robust.Ladder.Degraded ->
-      (* Trade speed for footprint: tight op-caches plus a partitioned
-         relation with early quantification. *)
+      (* Trade speed for footprint: tight op-caches over the model's
+         own image schedule. *)
       let tightened =
         match Bdd.cache_limit man with
         | Some n -> min n 8192
         | None -> 8192
       in
       Bdd.set_cache_limit man (Some tightened);
-      let dm = degraded_model () in
-      { ar_holds = run_symbolic dm limits; ar_model = dm;
-        ar_limits = limits; ar_fallback = None }
+      symbolic ()
     | Robust.Ladder.Explicit_state ->
       (* Abandon the symbolic representation: enumerate the (small)
          state space and decide explicitly.  Deadline and cancellation
@@ -359,7 +331,6 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?prior
       in
       {
         ar_holds = Robust.Fallback.holds fb ~fair:opts.fair spec;
-        ar_model = m;
         ar_limits = limits;
         ar_fallback = Some fb;
       }
@@ -368,11 +339,7 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?prior
      reachable from the model's roots; a ladder gc between attempts
      (or a concurrent request's gc on a warm server) must not sweep
      them out from under the remaining attempts. *)
-  let spec_preds =
-    let acc = ref [] in
-    ignore (Ctl.map_pred (fun b -> acc := b :: !acc; b) spec);
-    !acc
-  in
+  let spec_preds = Ctl.preds spec in
   (* Arm the injected fault (chaos testing) for this specification;
      one-shot, and disarmed on every exit path so a fault armed for
      spec k can never leak into spec k+1. *)
@@ -462,9 +429,8 @@ let check_one ppf m ~opts ~cancel ?(debug = false) ~clusters ?prior
         let tr =
           if opts.traces || need_cert then begin
             match
-              Bdd.Limits.with_attached ar.ar_model.Kripke.man ar.ar_limits
-                (fun () ->
-                  trace_for ppf ar.ar_model ~emit:opts.traces ~holds
+              Bdd.Limits.with_attached man ar.ar_limits (fun () ->
+                  trace_for ppf m ~emit:opts.traces ~holds
                     ~fallback:ar.ar_fallback spec)
             with
             | tr -> tr

@@ -38,9 +38,8 @@ type report = { verdict : verdict; cert_failed : bool }
     option-less request check alike.  Each field below is given as
     JSON key / CLI flag; on the wire a [bool] is a JSON boolean, an
     [int] or [float] a number, and [reorder] and [inject] are strings
-    spelled as on the CLI.  [partitioned] shapes the model the caller
-    compiles and [reorder] arms its sifting; the rest steer
-    {!check_one}. *)
+    spelled as on the CLI.  [reorder] arms the sifting of the model the
+    caller compiled; the rest steer {!check_one}. *)
 type opts = {
   fair : bool;
       (** ["fair"] / [--no-fairness] (negated): honour FAIRNESS
@@ -54,10 +53,6 @@ type opts = {
           object; the CLI also prints model and run statistics. *)
   certify : bool;
       (** ["certify"] / [--certify]: re-validate every emitted trace *)
-  partitioned : bool;
-      (** ["partitioned"] / [--partitioned]: compile the finest
-          partition of the transition relation (one image step per
-          conjunct) instead of the default size-bounded clusters *)
   timeout : float option;  (** ["timeout"] / [--timeout]: seconds per spec *)
   node_limit : int option;  (** ["node_limit"] / [--node-limit] *)
   step_limit : int option;  (** ["step_limit"] / [--step-limit] *)
@@ -121,7 +116,6 @@ val check_one :
   opts:opts ->
   cancel:bool Atomic.t ->
   ?debug:bool ->
-  clusters:(unit -> Bdd.t list) ->
   ?prior:Robust.Ladder.attempt list ->
   string * Ctl.t ->
   report
@@ -136,8 +130,6 @@ val check_one :
     [cancel] stops the check at its next poll point (a one-shot run
     shares one flag across specs, a server request owns one);
     [debug] (default [false]) lets unexpected exceptions escape;
-    [clusters] supplies the transition clusters for the degraded rung
-    (a thunk: workers transfer them onto their own manager lazily);
     [opts.inject] arms the manager's fault before the first attempt,
     and is always disarmed again on exit; [prior] carries a crashed worker
     attempt so the local re-run resumes the ladder instead of

@@ -2,7 +2,7 @@
    contract; the short version: one file per pooled model under the
    state directory, each carrying a [Bdd.Snapshot] of the manager plus
    the marshalled pure-data shadow of the compiled artifact
-   ([Kripke.skeleton], specs, defines, clusters — all of whose [Bdd.t]
+   ([Kripke.skeleton], specs and defines — all of whose [Bdd.t]
    handles the snapshot preserves bit-for-bit).  Everything here is
    best-effort: a failed write is a logged warning, a bad file on
    rehydrate is quarantined and counted, and neither ever takes the
@@ -19,7 +19,6 @@ type payload = {
   p_skel : Kripke.skeleton;
   p_specs : (string * Ctl.t) list;
   p_defines : (string * Smv.Ast.expr) list;
-  p_clusters : Bdd.t list;
 }
 
 type t = {
@@ -41,9 +40,11 @@ type counters = { snapshots : int; restores : int; quarantines : int }
    ("SMVWARM1" predates the fair memo in [Kripke.skeleton] carrying an
    engine tag, "SMVWARM2" carries that tag, "SMVWARM3" is the untagged
    memo again, "SMVWARM4" has non-optional image schedules, "SMVWARM5"
-   is keyed by [(partitioned, source)] with no order bit); a mismatch
-   quarantines the stale file instead of unmarshalling it as garbage. *)
-let magic = "SMVWARM5"
+   is keyed by [(partitioned, source)] with no order bit, "SMVWARM6" is
+   keyed by the source alone and carries no transition clusters); a
+   mismatch quarantines the stale file instead of unmarshalling it as
+   garbage. *)
+let magic = "SMVWARM6"
 let suffix = ".warm"
 
 let warn t fmt =
@@ -97,7 +98,6 @@ let encode ~key (compiled : Smv.Compile.compiled) =
       p_skel = Kripke.skeleton compiled.Smv.Compile.model;
       p_specs = compiled.Smv.Compile.specs;
       p_defines = compiled.Smv.Compile.defines;
-      p_clusters = compiled.Smv.Compile.clusters;
     }
   in
   let body = Marshal.to_string payload [] in
@@ -177,24 +177,16 @@ let load_entry path =
       Smv.Compile.model;
       specs = payload.p_specs;
       defines = payload.p_defines;
-      clusters = payload.p_clusters;
     }
   in
-  (* Mirror the compile-time rooting of the artifact's own diagrams
-     (spec [Pred] sets and partition clusters): the snapshot's static
-     root pins them today, but a later re-snapshot of this manager
-     must keep pinning them through any number of [Bdd.gc] runs. *)
+  (* Mirror the compile-time rooting of the spec [Pred] sets: the
+     snapshot's static root pins them today, but a later re-snapshot of
+     this manager must keep pinning them through any number of
+     [Bdd.gc] runs. *)
   let spec_preds =
-    List.concat_map
-      (fun (_, spec) ->
-        let acc = ref [] in
-        ignore (Ctl.map_pred (fun b -> acc := b :: !acc; b) spec);
-        !acc)
-      compiled.Smv.Compile.specs
+    List.concat_map (fun (_, spec) -> Ctl.preds spec) compiled.Smv.Compile.specs
   in
-  ignore
-    (Bdd.add_root man (fun () -> spec_preds @ compiled.Smv.Compile.clusters)
-      : Bdd.root);
+  ignore (Bdd.add_root man (fun () -> spec_preds) : Bdd.root);
   (payload.p_key, compiled)
 
 let quarantine t path reason =

@@ -43,7 +43,6 @@ let parse_options json =
     | "traces" -> bool (fun traces -> { o with Engine.traces })
     | "stats" -> bool (fun stats -> { o with Engine.stats })
     | "certify" -> bool (fun certify -> { o with Engine.certify })
-    | "partitioned" -> bool (fun partitioned -> { o with Engine.partitioned })
     | "retries" -> int (fun retries -> { o with Engine.retries })
     | "retry_factor" -> num (fun retry_factor -> { o with Engine.retry_factor })
     | "timeout" -> num (fun t -> { o with Engine.timeout = Some t })
@@ -142,9 +141,7 @@ let stats_json (s : Bdd.stats) =
     [
       ("ite", op_stats_json s.Bdd.ite);
       ("exists", op_stats_json s.Bdd.exists);
-      ("forall", op_stats_json s.Bdd.forall);
       ("relprod", op_stats_json s.Bdd.relprod);
-      ("constrain", op_stats_json s.Bdd.constrain);
       ("live_nodes", Num (float_of_int s.Bdd.live_nodes));
       ("peak_nodes", Num (float_of_int s.Bdd.peak_nodes));
       ("total_nodes", Num (float_of_int s.Bdd.total_nodes));

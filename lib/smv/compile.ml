@@ -4,7 +4,6 @@ type compiled = {
   model : Kripke.t;
   specs : (string * Ctl.t) list;
   defines : (string * Ast.expr) list;
-  clusters : Bdd.t list;
 }
 
 let err ?pos fmt = Format.kasprintf (fun msg -> raise (Error (msg, pos))) fmt
@@ -490,7 +489,7 @@ let running_name (u : Flatten.unit_decls) =
   if String.equal u.Flatten.upath "" then "running"
   else u.Flatten.upath ^ ".running"
 
-let compile ?(partitioned = false) (program : Ast.program) =
+let compile (program : Ast.program) =
   let units = Flatten.flatten_units program in
   let with_processes = List.length units > 1 in
   let decls = List.concat_map (fun u -> u.Flatten.udecls) units in
@@ -624,36 +623,22 @@ let compile ?(partitioned = false) (program : Ast.program) =
           (Bdd.conj env.bman ((selected :: frozen) @ unit_rels.(ui))))
       units;
   Kripke.Builder.label_all_bools builder;
-  let model =
-    if partitioned then Kripke.Builder.build_partitioned builder
-    else Kripke.Builder.build builder
-  in
+  let model = Kripke.Builder.build builder in
   let compiled =
     {
       model;
       specs = List.rev !specs;
       defines = Hashtbl.fold (fun k v acc -> (k, v) :: acc) env.defines [];
-      clusters = Kripke.Builder.clusters builder;
     }
   in
   (* The compiled artifact outlives any single check: a warm server
      keeps it across requests, and recovery ladders run [Bdd.gc]
-     between attempts.  Its embedded diagrams — the Pred state sets
-     inside the spec formulas and the partition clusters — are not
-     reachable from the model's own roots, so register them here for
-     the artifact's lifetime; otherwise a gc would sweep them and any
-     later use of the compiled specs would dangle. *)
-  let spec_preds =
-    List.concat_map
-      (fun (_, spec) ->
-        let acc = ref [] in
-        ignore (Ctl.map_pred (fun b -> acc := b :: !acc; b) spec);
-        !acc)
-      compiled.specs
-  in
-  ignore
-    (Bdd.add_root model.Kripke.man (fun () -> spec_preds @ compiled.clusters)
-      : Bdd.root);
+     between attempts.  The Pred state sets inside the spec formulas
+     are not reachable from the model's own roots, so register them
+     here for the artifact's lifetime; otherwise a gc would sweep them
+     and any later use of the compiled specs would dangle. *)
+  let spec_preds = List.concat_map (fun (_, spec) -> Ctl.preds spec) compiled.specs in
+  ignore (Bdd.add_root model.Kripke.man (fun () -> spec_preds) : Bdd.root);
   compiled
 
 let compile_expr compiled source =

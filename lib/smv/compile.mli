@@ -22,21 +22,14 @@ type compiled = {
       (** each [SPEC], with its source-like rendering *)
   defines : (string * Ast.expr) list;
       (** the [DEFINE] macros, for {!compile_expr} *)
-  clusters : Bdd.t list;
-      (** the transition clusters ({!Kripke.Builder.clusters}), kept so
-          a later degraded retry can install the finest partition
-          ({!Kripke.with_partition}) without recompiling.  Callers that
-          hold a [compiled] across a [Bdd.gc] must root them. *)
 }
 
-val compile : ?partitioned:bool -> Ast.program -> compiled
+val compile : Ast.program -> compiled
 (** Images run over the transition clusters (one per [next]
     assignment / [TRANS] constraint, plus one for the process
     interleaving) with early quantification, adjacent clusters merged
     while their product stays within {!Kripke.cluster_limit} nodes
-    ({!Kripke.Builder.build}).  With [~partitioned:true] every cluster
-    is a step of its own, the finest partition — see
-    {!Kripke.with_partition}.
+    ({!Kripke.Builder.build}).
 
     The BDD variable order is seeded by a dependency-graph proximity
     heuristic before any constraint is built: variables co-occurring in

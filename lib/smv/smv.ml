@@ -8,13 +8,12 @@ module Flatten = Flatten
 module Compile = Compile
 
 (** Parse and compile an SMV source text. *)
-let load_string ?partitioned source =
-  Compile.compile ?partitioned (Parser.program source)
+let load_string source = Compile.compile (Parser.program source)
 
 (** Parse and compile an SMV file. *)
-let load_file ?partitioned path =
+let load_file path =
   let ic = open_in path in
   let n = in_channel_length ic in
   let source = really_input_string ic n in
   close_in ic;
-  load_string ?partitioned source
+  load_string source

@@ -257,7 +257,6 @@ let parity_rows =
     ("fair", [ "--no-fairness" ], [ ("fair", Json.Bool false) ]);
     ("traces", [ "-q" ], [ ("traces", Json.Bool false) ]);
     ("certify", [ "--certify" ], [ ("certify", Json.Bool true) ]);
-    ("partitioned", [ "--partitioned" ], [ ("partitioned", Json.Bool true) ]);
     ( "retries",
       [ "--step-limit"; "3"; "--retries"; "2"; "--retry-budget-factor"; "4" ],
       [ ("step_limit", num 3); ("retries", num 2); ("retry_factor", num 4) ] );

@@ -7,10 +7,7 @@
       and the governed 26-bit counter (UNDETERMINED reporting under
       --step-limit, exit 2) must reproduce the committed golden files
       exactly — any drift in verdicts, traces, wording or exit codes
-      is a store regression, not a tolerable diff.  The arbiter runs
-      twice, on the default clustered image schedule and on the finest
-      partition (--partitioned): both image paths must give the same
-      bytes.
+      is a store regression, not a tolerable diff.
 
    2. Chaos sweep over the store's own fault sites: --inject mk:N
       lands an allocation failure inside the unique-table insert path,
@@ -107,9 +104,6 @@ let chaos name inject =
 
 let () =
   check_golden "arbiter" [ model "arbiter.smv" ]
-    ~golden:"golden/store_arbiter.golden" ~code:1;
-  check_golden "arbiter (--partitioned)"
-    [ model "arbiter.smv"; "--partitioned" ]
     ~golden:"golden/store_arbiter.golden" ~code:1;
   check_golden "counter26"
     [ model "counter26.smv"; "--step-limit"; "64" ]

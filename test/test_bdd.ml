@@ -154,11 +154,7 @@ let test_exists_unit () =
   (* exists x0. (x0 /\ x1) = x1 *)
   let f = Bdd.and_ man (Bdd.var man 0) (Bdd.var man 1) in
   let e = Bdd.exists man (Bdd.cube man [ 0 ]) f in
-  Alcotest.(check bool) "exists" true (Bdd.equal e (Bdd.var man 1));
-  (* forall x0. (x0 \/ x1) = x1 *)
-  let g = Bdd.or_ man (Bdd.var man 0) (Bdd.var man 1) in
-  let a = Bdd.forall man (Bdd.cube man [ 0 ]) g in
-  Alcotest.(check bool) "forall" true (Bdd.equal a (Bdd.var man 1))
+  Alcotest.(check bool) "exists" true (Bdd.equal e (Bdd.var man 1))
 
 let test_sat_count_unit () =
   let f = Bdd.or_ man (Bdd.var man 0) (Bdd.var man 1) in
@@ -260,15 +256,6 @@ let prop_exists_semantics =
       in
       Bdd.equal lhs rhs)
 
-let prop_forall_dual =
-  prop "forall c f = ~exists c ~f"
-    QCheck2.Gen.(pair expr_gen (list_size (int_bound 3) (int_bound (nvars - 1))))
-    (fun (e, vs) ->
-      let f = bdd_of_expr e in
-      let c = Bdd.cube man vs in
-      Bdd.equal (Bdd.forall man c f)
-        (Bdd.not_ man (Bdd.exists man c (Bdd.not_ man f))))
-
 let prop_and_exists =
   prop "and_exists = exists of and"
     QCheck2.Gen.(triple expr_gen expr_gen
@@ -339,7 +326,7 @@ let suite =
     Alcotest.test_case "conj/disj" `Quick test_conj_disj;
     Alcotest.test_case "restrict" `Quick test_restrict;
     Alcotest.test_case "restrict is memoised" `Quick test_restrict_memoised;
-    Alcotest.test_case "exists/forall" `Quick test_exists_unit;
+    Alcotest.test_case "exists" `Quick test_exists_unit;
     Alcotest.test_case "sat_count" `Quick test_sat_count_unit;
     Alcotest.test_case "sat_count bad universe" `Quick test_sat_count_bad_universe;
     Alcotest.test_case "fold_sat" `Quick test_fold_sat;
@@ -353,59 +340,12 @@ let suite =
     prop_not_involution;
     prop_ite;
     prop_exists_semantics;
-    prop_forall_dual;
     prop_and_exists;
     prop_rename_eval;
     prop_sat_count;
     prop_fold_sat_count;
     prop_subset;
     prop_support_sound;
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* Generalized cofactor (constrain).                                   *)
-
-let prop_constrain_agrees_on_care_set =
-  prop "c /\\ constrain f c = c /\\ f"
-    QCheck2.Gen.(pair expr_gen expr_gen)
-    (fun (ef, ec) ->
-      let f = bdd_of_expr ef and c = bdd_of_expr ec in
-      QCheck2.assume (not (Bdd.is_zero c));
-      Bdd.equal
-        (Bdd.and_ man c (Bdd.constrain man f c))
-        (Bdd.and_ man c f))
-
-let prop_constrain_self =
-  prop "constrain f f = true (f satisfiable)" expr_gen (fun ef ->
-      let f = bdd_of_expr ef in
-      QCheck2.assume (not (Bdd.is_zero f));
-      Bdd.is_one (Bdd.constrain man f f))
-
-let prop_constrain_true =
-  prop "constrain f true = f" expr_gen (fun ef ->
-      let f = bdd_of_expr ef in
-      Bdd.equal (Bdd.constrain man f (Bdd.one man)) f)
-
-let test_constrain_empty_care () =
-  Alcotest.check_raises "empty care set"
-    (Invalid_argument "Bdd.constrain: care set is empty") (fun () ->
-      ignore (Bdd.constrain man (Bdd.var man 0) (Bdd.zero man)))
-
-let test_constrain_shrinks () =
-  (* Constraining an xor chain to a cube collapses it to a literal. *)
-  let f = Bdd.xor man (Bdd.var man 0) (Bdd.var man 1) in
-  let c = Bdd.cube man [ 0 ] in
-  let r = Bdd.constrain man f c in
-  Alcotest.(check bool) "collapsed to !x1" true
-    (Bdd.equal r (Bdd.nvar man 1))
-
-let constrain_suite =
-  [
-    prop_constrain_agrees_on_care_set;
-    prop_constrain_self;
-    prop_constrain_true;
-    Alcotest.test_case "constrain empty care" `Quick test_constrain_empty_care;
-    Alcotest.test_case "constrain shrinks" `Quick test_constrain_shrinks;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -516,4 +456,4 @@ let stats_suite =
     Alcotest.test_case "with_root" `Quick test_with_root;
   ]
 
-let suite = suite @ constrain_suite @ stats_suite
+let suite = suite @ stats_suite

@@ -93,7 +93,14 @@ let test_exit_input_errors () =
   Alcotest.(check int) "--timeout 0: exit 3" 3 code2;
   Alcotest.(check bool) "--timeout message" true
     (contains ~needle:"SECS must be positive" out2);
-  Alcotest.(check int) "--node-limit 0: exit 3" 3 code3
+  Alcotest.(check int) "--node-limit 0: exit 3" 3 code3;
+  (* A flag value cmdliner cannot parse, a removed enum value and a
+     removed flag are input errors too, not cmdliner's own exit code. *)
+  List.iter
+    (fun flags ->
+      let code, _ = run (flags @ [ model_path "mutex.smv" ]) in
+      Alcotest.(check int) (String.concat " " flags ^ ": exit 3") 3 code)
+    [ [ "--timeout"; "abc" ]; [ "--reorder"; "once" ]; [ "--partitioned" ] ]
 
 let test_recovery_flags_validated () =
   let path = temp_model all_true_model in
@@ -145,6 +152,29 @@ let test_retries_recover_starved_spec () =
   Alcotest.(check int) "recovered run exits 0" 0 code;
   Alcotest.(check bool) "recovery annotated" true
     (contains ~needle:"(recovered: attempt" out);
+  Alcotest.(check bool) "recovered trace certified" true
+    (contains ~needle:"certificate: trace independently validated" out)
+
+(* The degraded rung runs on the model's own clustered schedule with
+   tight caches: under a 3000-node budget the 7-philosopher deadlock
+   EF is decided there, after the direct, gc-retry and reorder
+   attempts trip the budget. *)
+let test_degraded_rung_decides () =
+  let n = 7 in
+  let path =
+    temp_model
+      (Workloads.philosophers_smv n
+      ^ Printf.sprintf "SPEC EF (%s)\n"
+          (String.concat " & "
+             (List.init n (Printf.sprintf "p%d.st = left"))))
+  in
+  let code, out =
+    run [ path; "-q"; "--retries"; "4"; "--node-limit"; "3000" ]
+  in
+  Sys.remove path;
+  Alcotest.(check int) "decided run exits 0" 0 code;
+  Alcotest.(check bool) "decided on the degraded rung" true
+    (contains ~needle:"is true (recovered: attempt 4 via degraded)" out);
   Alcotest.(check bool) "recovered trace certified" true
     (contains ~needle:"certificate: trace independently validated" out)
 
@@ -224,6 +254,8 @@ let suite =
       test_exit_input_errors;
     Alcotest.test_case "recovery flags validated" `Quick
       test_recovery_flags_validated;
+    Alcotest.test_case "--retries decides on the degraded rung" `Quick
+      test_degraded_rung_decides;
     Alcotest.test_case "--retries recovers a starved spec" `Slow
       test_retries_recover_starved_spec;
     Alcotest.test_case "--certify on a clean run" `Quick

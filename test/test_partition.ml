@@ -5,14 +5,20 @@
 let prop name ?(count = 100) gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen f)
 
+(* The same model over the finest partition of [clusters]: one image
+   step per cluster. *)
+let finest (m : Kripke.t) clusters =
+  Kripke.make_partitioned ~man:m.Kripke.man ~vars:(Array.to_list m.Kripke.vars)
+    ~nbits:m.Kripke.nbits ~space:m.Kripke.space ~init:m.Kripke.init ~clusters
+    ~fairness:m.Kripke.fairness ~labels:m.Kripke.labels ()
+
+let steps (m : Kripke.t) = List.length m.Kripke.pre_schedule
+
 (* The counter builds its relation as one conjunct per bit — the ideal
    partitioning candidate. *)
 let counter_pair bits =
   let mono = Models.counter bits in
-  (* Rebuild through the builder to get the partitioned variant of the
-     same relation; Models.counter uses add_trans per bit, so
-     re-deriving the clusters via a fresh build is the easiest route:
-     partition the monolithic relation ourselves per output bit. *)
+  (* Partition the monolithic relation ourselves per output bit. *)
   let bman = mono.Kripke.man in
   let clusters =
     List.init bits (fun i ->
@@ -23,12 +29,12 @@ let counter_pair bits =
         in
         Bdd.exists bman (Bdd.cube bman others) mono.Kripke.trans)
   in
-  (mono, Kripke.with_partition mono clusters)
+  (mono, finest mono clusters)
 
 let test_images_agree () =
   let mono, part = counter_pair 4 in
-  Alcotest.(check bool) "partitioned flag" true (Kripke.partitioned part);
-  Alcotest.(check bool) "mono flag" false (Kripke.partitioned mono);
+  Alcotest.(check bool) "partitioned schedule" true (steps part > 1);
+  Alcotest.(check int) "mono schedule" 1 (steps mono);
   let some_set = Ctl.Check.sat mono (Ctl.atom "b1") in
   Alcotest.(check bool) "pre agrees" true
     (Bdd.equal (Kripke.pre mono some_set) (Kripke.pre part some_set));
@@ -37,39 +43,6 @@ let test_images_agree () =
   Alcotest.(check bool) "reachable agrees" true
     (Bdd.equal (Kripke.reachable mono) (Kripke.reachable part))
 
-let test_bad_partition_rejected () =
-  let mono = Models.counter 3 in
-  Alcotest.(check bool) "bad clusters rejected" true
-    (match Kripke.with_partition mono [ Bdd.one mono.Kripke.man ] with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
-
-let test_smv_partitioned_end_to_end () =
-  let src =
-    "MODULE main\n\
-     VAR a : boolean; c : 0..5; s : {x, y, z};\n\
-     ASSIGN\n\
-     init(a) := FALSE; next(a) := !a;\n\
-     init(c) := 0; next(c) := (c + 1) mod 6;\n\
-     init(s) := x;\n\
-     next(s) := case s = x : {x, y}; s = y : z; TRUE : x; esac;\n\
-     FAIRNESS s = z\n\
-     SPEC AG (c = 5 -> AX c = 0)\n\
-     SPEC AG AF s = x\n\
-     SPEC AG !(a & c = 1)\n"
-  in
-  let mono = Smv.load_string src in
-  let part = Smv.load_string ~partitioned:true src in
-  Alcotest.(check bool) "partitioned" true
-    (Kripke.partitioned part.Smv.Compile.model);
-  List.iter2
-    (fun (name, f_mono) (_, f_part) ->
-      Alcotest.(check bool)
-        ("same verdict for " ^ name)
-        (Ctl.Fair.holds mono.Smv.Compile.model f_mono)
-        (Ctl.Fair.holds part.Smv.Compile.model f_part))
-    mono.Smv.Compile.specs part.Smv.Compile.specs
-
 let prop_partitioned_ctl_agrees =
   (* On random models (single-cluster partition through the builder's
      case list) and the SMV mutex, verify whole satisfaction sets. *)
@@ -77,11 +50,9 @@ let prop_partitioned_ctl_agrees =
     (QCheck2.Gen.pair (Models.random_model_gen ~nfair:2 ()) Models.formula_gen)
     (fun (rm, f) ->
       let mono = rm.Models.sym in
-      (* the bridge builds via trans cases: one disjunctive cluster *)
-      let clusters = [ mono.Kripke.trans ] in
-      (* with_partition requires clusters /\ space /\ space' = trans;
-         trans already includes the space conjuncts. *)
-      let part = Kripke.with_partition mono clusters in
+      (* the bridge builds via trans cases: one disjunctive cluster,
+         scheduled apart from the two space parts *)
+      let part = finest mono [ mono.Kripke.trans ] in
       Bdd.equal (Ctl.Fair.sat mono f) (Ctl.Fair.sat part f))
 
 let prop_counter_witnesses_survive_partitioning =
@@ -132,11 +103,6 @@ let schedule_models () =
   in
   committed @ arbiters
 
-(* The parts the compiler's schedule is merged from, in walk order. *)
-let parts_of (c : Smv.Compile.compiled) =
-  let m = c.Smv.Compile.model in
-  c.Smv.Compile.clusters @ [ m.Kripke.space; Kripke.prime m m.Kripke.space ]
-
 (* The clusters an image schedule conjoins (a last all-true step only
    quantifies variables no cluster mentions). *)
 let schedule_clusters steps =
@@ -145,22 +111,34 @@ let schedule_clusters steps =
       if Bdd.is_one s.Kripke.cluster then None else Some s.Kripke.cluster)
     steps
 
+(* The schedule invariants every built model keeps: pre and post run
+   the same clusters, which conjoin to the relation. *)
+let check_schedule name (m : Kripke.t) =
+  let merged = schedule_clusters m.Kripke.pre_schedule in
+  Alcotest.(check bool)
+    (name ^ ": pre and post run the same clusters")
+    true
+    (List.equal Bdd.equal merged (schedule_clusters m.Kripke.post_schedule));
+  Alcotest.(check bool)
+    (name ^ ": merged clusters conjoin to trans")
+    true
+    (Bdd.equal (Bdd.conj m.Kripke.man merged) m.Kripke.trans);
+  Alcotest.(check bool)
+    (name ^ ": more than one step iff more than one cluster")
+    (List.length merged > 1) (steps m > 1);
+  merged
+
+(* Builder-made xor automata, whose parts are known: the merge walks
+   [clusters @ [space; space']] and never exceeds the bound except with
+   a single part. *)
 let test_merged_clusters () =
   List.iter
-    (fun (name, c) ->
-      let m = c.Smv.Compile.model in
+    (fun n ->
+      let name = Printf.sprintf "xor-%d" n in
+      let m, clusters = Workloads.xor_automaton n in
       let man = m.Kripke.man in
-      let parts = parts_of c in
-      let merged = schedule_clusters m.Kripke.pre_schedule in
-      Alcotest.(check bool)
-        (name ^ ": pre and post run the same clusters")
-        true
-        (List.equal Bdd.equal merged
-           (schedule_clusters m.Kripke.post_schedule));
-      Alcotest.(check bool)
-        (name ^ ": merged clusters conjoin to trans")
-        true
-        (Bdd.equal (Bdd.conj man merged) m.Kripke.trans);
+      let parts = clusters @ [ m.Kripke.space; Kripke.prime m m.Kripke.space ] in
+      let merged = check_schedule name m in
       Alcotest.(check bool)
         (name ^ ": fewer clusters than parts")
         true
@@ -172,22 +150,33 @@ let test_merged_clusters () =
             true
             (Bdd.size man cl <= Kripke.cluster_limit
             || List.exists (Bdd.equal cl) parts))
-        merged;
-      Alcotest.(check bool)
-        (name ^ ": partitioned iff more than one cluster")
-        (List.length merged > 1) (Kripke.partitioned m))
+        merged)
+    [ 8; 64; 100 ];
+  (* Every compiled SMV relation merges into one cluster within the
+     bound, so the schedule has fewer clusters than the compiler's
+     parts (at least the relation's and the two space parts). *)
+  List.iter
+    (fun (name, c) ->
+      let m = c.Smv.Compile.model in
+      match check_schedule name m with
+      | [ cl ] ->
+        Alcotest.(check bool)
+          (name ^ ": the one cluster is within the limit")
+          true
+          (Bdd.size m.Kripke.man cl <= Kripke.cluster_limit)
+      | merged ->
+        Alcotest.failf "%s: %d clusters, expected one" name
+          (List.length merged))
     (schedule_models ())
 
 let test_counter12_one_cluster () =
   let m = (load "counter12.smv").Smv.Compile.model in
-  Alcotest.(check int) "a single pre step" 1
-    (List.length m.Kripke.pre_schedule);
-  Alcotest.(check bool) "not partitioned" false (Kripke.partitioned m);
+  Alcotest.(check int) "a single pre step" 1 (steps m);
   (* Under the proximity order every committed SMV relation fits one
      cluster; the contrast is a hand-built 100-cell xor ring, which the
      default build still leaves multi-cluster. *)
   Alcotest.(check bool) "the 100-cell xor automaton is partitioned" true
-    (Kripke.partitioned (fst (Workloads.xor_automaton 100)))
+    (steps (fst (Workloads.xor_automaton 100)) > 1)
 
 (* A seeded random state set: a union of a few random partial cubes over
    the current-state bits. *)
@@ -242,8 +231,6 @@ let test_images_match_monolithic () =
 let suite =
   [
     Alcotest.test_case "images agree" `Quick test_images_agree;
-    Alcotest.test_case "bad partition rejected" `Quick test_bad_partition_rejected;
-    Alcotest.test_case "SMV partitioned end to end" `Quick test_smv_partitioned_end_to_end;
     prop_partitioned_ctl_agrees;
     prop_counter_witnesses_survive_partitioning;
     Alcotest.test_case "merged clusters are bounded and exact" `Quick

@@ -251,6 +251,8 @@ let test_protocol_errors () =
   (* a removed key is unknown, never silently accepted *)
   expect_err ~msg:{|unknown option "fair_engine"|}
     {|{"op":"check","id":"a","model":"m","options":{"fair_engine":"el"}}|};
+  expect_err ~msg:{|unknown option "partitioned"|}
+    {|{"op":"check","id":"a","model":"m","options":{"partitioned":true}}|};
   (* a removed reorder mode gets the unknown-mode reply *)
   expect_err ~msg:{|"reorder": unknown mode (none or auto) "once"|}
     {|{"op":"check","id":"a","model":"m","options":{"reorder":"once"}}|};
@@ -319,11 +321,14 @@ let test_cache_warm_flag () =
   Cache.release cache e2;
   Alcotest.(check int) "entry pooled" 1 (Cache.size cache)
 
-let test_cache_key_includes_options () =
-  let d = Cache.digest ~source:"m" in
-  Alcotest.(check bool) "partitioned changes the key" true
-    (d ~partitioned:false ~static_order:false
-    <> d ~partitioned:true ~static_order:false)
+let test_cache_key_is_source_digest () =
+  let d source = Cache.digest ~source in
+  Alcotest.(check bool) "the source changes the key" true
+    (d "m" ~partitioned:false ~static_order:false
+    <> d "n" ~partitioned:false ~static_order:false);
+  Alcotest.(check bool) "the option labels do not" true
+    (d "m" ~partitioned:false ~static_order:false
+     = d "m" ~partitioned:true ~static_order:true)
 
 let test_cache_eviction () =
   let cache = Cache.create ~capacity:1 in
@@ -366,9 +371,7 @@ let check_to_string ?(cancel = Atomic.make false) compiled (name, spec) =
   let ppf = Format.formatter_of_buffer buf in
   let r =
     Engine.check_one ppf compiled.Smv.Compile.model
-      ~opts:Engine.default_opts ~cancel
-      ~clusters:(fun () -> compiled.Smv.Compile.clusters)
-      (name, spec)
+      ~opts:Engine.default_opts ~cancel (name, spec)
   in
   Format.pp_print_flush ppf ();
   (r, Buffer.contents buf)
@@ -425,9 +428,7 @@ let test_engine_fault_is_scoped () =
   let r =
     Engine.check_one ppf m
       ~opts:{ Engine.default_opts with inject = Some (Bdd.Fault.Step, 1) }
-      ~cancel:(Atomic.make false)
-      ~clusters:(fun () -> compiled.Smv.Compile.clusters)
-      spec
+      ~cancel:(Atomic.make false) spec
   in
   (match r.Engine.verdict with
   | Engine.Undetermined _ -> ()
@@ -813,8 +814,8 @@ let suite =
     Alcotest.test_case "protocol: reply shapes" `Quick
       test_protocol_reply_shapes;
     Alcotest.test_case "cache: warm flag" `Quick test_cache_warm_flag;
-    Alcotest.test_case "cache: key includes options" `Quick
-      test_cache_key_includes_options;
+    Alcotest.test_case "cache: key is the source digest" `Quick
+      test_cache_key_is_source_digest;
     Alcotest.test_case "cache: LRU eviction spares busy entries" `Quick
       test_cache_eviction;
     Alcotest.test_case "engine: check_one output" `Quick

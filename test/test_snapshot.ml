@@ -150,7 +150,6 @@ let check_all compiled =
       ignore
         (Server.Engine.check_one ppf compiled.Smv.Compile.model
            ~opts:Server.Engine.default_opts ~cancel:(Atomic.make false)
-           ~clusters:(fun () -> compiled.Smv.Compile.clusters)
            spec))
     compiled.Smv.Compile.specs;
   Format.pp_print_flush ppf ();
@@ -212,8 +211,8 @@ let test_persist_rehydrate_and_quarantine () =
   in
   let p = Persist.create ~dir ~debug:false in
   Alcotest.(check bool) "save" true (Persist.save_entry p ~key ~uses:1 compiled);
-  (* Drop four bad files beside the good one: a truncated copy, a
-     bit-flipped copy, and two files from older format versions.
+  (* Drop bad files beside the good one: a truncated copy, a
+     bit-flipped copy, and files from older format versions.
      Rehydration must seed the good entry and quarantine the bad ones
      without raising. *)
   let read path =
@@ -235,15 +234,16 @@ let test_persist_rehydrate_and_quarantine () =
      magic rewound to an older version (its checksum still matches):
      were it unmarshalled, it would be restored as another entry —
      and an "SMVWARM3" payload has optional schedules, which the
-     current skeleton type would misread, while an "SMVWARM4" file
-     sits under a key that still carried a variable-order bit.  The
-     keys are digests of distinct stand-in sources, so no stale file
-     overwrites the good one. *)
+     current skeleton type would misread, an "SMVWARM4" file sits
+     under a key that still carried a variable-order bit, and an
+     "SMVWARM5" payload carries transition clusters and a key with a
+     partitioned bit.  The keys are digests of distinct stand-in
+     sources, so no stale file overwrites the good one. *)
   let stale =
     List.map
-      (fun (old_magic, partitioned) ->
+      (fun old_magic ->
         let stale_key =
-          Cache.digest ~source:old_magic ~partitioned ~static_order:false
+          Cache.digest ~source:old_magic ~partitioned:false ~static_order:false
         in
         Alcotest.(check bool) ("save stale " ^ old_magic) true
           (Persist.save_entry p ~key:stale_key ~uses:1 compiled);
@@ -252,13 +252,13 @@ let test_persist_rehydrate_and_quarantine () =
         write path
           (old_magic ^ String.sub current 8 (String.length current - 8));
         (stale_key, path))
-      [ ("SMVWARM2", true); ("SMVWARM3", false); ("SMVWARM4", false) ]
+      [ "SMVWARM2"; "SMVWARM3"; "SMVWARM4"; "SMVWARM5" ]
   in
   let p' = Persist.create ~dir ~debug:false in
   let cache = Cache.create ~capacity:4 in
   let restored = Persist.rehydrate p' cache in
   Alcotest.(check int) "one entry restored" 1 restored;
-  Alcotest.(check int) "five files quarantined" 5
+  Alcotest.(check int) "six files quarantined" 6
     (Persist.counters p').Persist.quarantines;
   Alcotest.(check bool) "restored entry is warm in the pool" true
     (Cache.is_warm cache ~key);

@@ -102,26 +102,6 @@ let prop_ex_witness =
           && Kripke.Trace.length tr = 2)
         (Kripke.states_in m ex))
 
-let prop_eu_fair_witness =
-  prop "fair EU witnesses are fair lassos" ~count:100
-    (QCheck2.Gen.pair (Models.random_model_gen ~nfair:2 ())
-       (QCheck2.Gen.pair Models.formula_gen Models.formula_gen))
-    (fun (rm, (af, ag)) ->
-      let m = rm.Models.sym in
-      let f = Ctl.Fair.sat m af and g = Ctl.Fair.sat m ag in
-      let eu_fair = Ctl.Fair.eu m f g in
-      List.for_all
-        (fun st ->
-          let tr = Counterex.Witness.eu_fair m ~f ~g ~start:st in
-          check_valid "path" (Counterex.Validate.path_ok m tr)
-          && Kripke.Trace.is_lasso tr
-          (* the fair extension must hit every constraint on the cycle *)
-          && check_valid "fair cycle"
-               (Counterex.Validate.eg_witness m ~f:m.Kripke.space tr)
-          (* some state along the trace satisfies g *)
-          && List.exists (Kripke.eval_in_state m g) (Kripke.Trace.states tr))
-        (Kripke.states_in m eu_fair))
-
 (* The heuristic witness is never shorter than the exact NP-hard
    minimum (it cannot be — minimality check of Minwit), and both agree
    on existence. *)
@@ -308,7 +288,6 @@ let suite =
     prop_eg_rejects_nonmembers;
     prop_eu_witness;
     prop_ex_witness;
-    prop_eu_fair_witness;
     prop_heuristic_vs_minimal;
     prop_counterexample_exists_iff_fails;
     prop_witness_exists_iff_holds_somewhere;
